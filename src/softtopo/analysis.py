@@ -163,7 +163,15 @@ def sampled_subfamilies(masks: Sequence[int], seed: int, count: int, max_size: i
 
 def is_semicompact(t: SoftTopology) -> tuple[bool, str]:
     """Trivially true on finite instances; both closed-family characterizations
-    are still verified mechanically so a regression here is loud."""
+    are still verified mechanically so a regression here is loud. The verdict
+    is kept on the space, so the checks run once per object."""
+    got = t._cache.get("semicompact")
+    if got is None:
+        got = t._cache["semicompact"] = _check_semicompact(t)
+    return got
+
+
+def _check_semicompact(t: SoftTopology) -> tuple[bool, str]:
     tab = tables(t)
     full = t.absolute.mask
     seed = derive_seed("semicompact", t.encoding())

@@ -1726,15 +1726,18 @@ def _inv_preimage(ctx: TripleCtx) -> Iterator[Check]:
 
 
 def _brute_min_cover(universe: int, masks: list[int]) -> Optional[int]:
-    best = None
-    n = len(masks)
-    for s in range(1 << n):
-        got = 0
-        for i in range(n):
-            if s >> i & 1:
-                got |= masks[i]
+    """Size of the smallest subfamily covering `universe`, over every subset.
+
+    The union of subset s is the union of s without its lowest member, plus
+    that member, so each of the 2^k unions costs one OR.
+    """
+    unions = [0] * (1 << len(masks))
+    best = 0 if universe == 0 else None
+    for s in range(1, len(unions)):
+        low = s & -s
+        got = unions[s] = unions[s & (s - 1)] | masks[low.bit_length() - 1]
         if universe & ~got == 0:
-            size = bin(s).count("1")
+            size = s.bit_count()
             if best is None or size < best:
                 best = size
     return best

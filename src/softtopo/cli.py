@@ -351,7 +351,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("suite", parents=[common], help="run the claim suite over a corpus or space")
     sp.add_argument("target")
     sp.add_argument("--claims", default=None, help="comma-separated claim ids (default: all)")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (at least 1, capped at the CPU count)")
     sp.add_argument("--cross-triples", type=int, default=48)
     sp.add_argument("--witness-dir", default=None)
     sp.set_defaults(fn=_cmd_suite)
@@ -363,7 +364,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--density", type=float, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (at least 1, capped at the CPU count)")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(fn=_cmd_gen)
 

@@ -63,19 +63,19 @@ class SpaceSignature:
         _check_labels("universe", self.universe)
         _check_labels("parameter", self.parameters)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.universe)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.parameters)
 
-    @property
+    @cached_property
     def bits(self) -> int:
         return self.n * self.m
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.bits) - 1
 

@@ -7,8 +7,10 @@ specs yield identical fingerprints no matter how the work was sharded.
 The suite runner evaluates every selected claim on every instance (spaces,
 plus function triples derived deterministically from the corpus), merges
 per-(claim, instance) results in instance order, and assembles one record
-per claim. Asserted-tier failures abort after the merge; under-test
-refutations are recorded with self-contained, replayable witness bundles.
+per claim. Instances are the corpus's own space objects, shared by every
+triple over them, so per-space caches are built once per run. Asserted-tier
+failures abort after the merge; under-test refutations are recorded with
+self-contained, replayable witness bundles.
 """
 from __future__ import annotations
 
@@ -25,12 +27,13 @@ from .claims import (
     BUILTIN_SPACES,
     REGISTRY,
     SEMANTICS_NOTES,
-    ctx_from_bundle,
+    SpaceCtx,
+    TripleCtx,
     evaluate_claim,
 )
 from .core import SoftSet, SpaceSignature, bit_cap
 from .errors import BitCapExceeded, CorpusError, InternalAssertionError, LiteralError
-from .maps import SoftFunction, function_to_obj
+from .maps import SoftFunction
 from .prng import SplitMix64, derive_seed
 from .topology import SoftTopology, load_space, parse_space, save_space
 from .version import TOOL
@@ -173,8 +176,16 @@ def _gen_one(args: tuple) -> dict:
     return t.to_obj()
 
 
+def worker_count(jobs: int) -> int:
+    """Validated worker count: below 1 is an error, above the CPU count is clamped."""
+    if jobs < 1:
+        raise LiteralError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def build_corpus(spec: CorpusSpec, jobs: int = 1) -> Corpus:
     """Materialize a CorpusSpec; index order is part of the corpus identity."""
+    jobs = worker_count(jobs)
     if spec.mode == "exhaustive":
         return Corpus(list(enumerate_topologies(spec.signature())), spec)
     args = [(spec.to_obj(), i) for i in range(spec.count)]
@@ -308,47 +319,55 @@ def _select_claims(claim_ids: Optional[Sequence[str]]) -> list:
     return [c for c in REGISTRY.values() if c.id in wanted]
 
 
-def _space_items(corpus: Corpus) -> list[dict]:
+# A suite item is (label, space) or (label, function, source, target), over
+# the live objects of the run; JSON is built only for witness bundles.
+SpaceItem = tuple[str, SoftTopology]
+TripleItem = tuple[str, SoftFunction, SoftTopology, SoftTopology]
+
+
+def _space_items(corpus: Corpus) -> list[SpaceItem]:
     # pinned reference spaces go first so their witnesses survive the cap
-    items = [
-        {"label": label, "space": build().to_obj()} for label, build in BUILTIN_SPACES
-    ]
+    items = [(label, build()) for label, build in BUILTIN_SPACES]
     for i, t in enumerate(corpus.instances):
+        if not t.absolute.is_absolute:
+            raise LiteralError("only whole spaces have a file form; export the base space")
         digest = hashlib.sha256(t.encoding().encode("utf-8")).hexdigest()[:8]
-        items.append({"label": f"corpus[{i}]:{digest}", "space": t.to_obj()})
+        items.append((f"corpus[{i}]:{digest}", t))
     return items
 
 
-def _derived_triples(space_items: list[dict], fingerprint: str, cross: int) -> list[dict]:
+def _derived_triples(space_items: list[SpaceItem], fingerprint: str, cross: int) -> list[TripleItem]:
     """Identity triple per space plus seeded random cross maps."""
-    spaces = [(it["label"], parse_space(it["space"])) for it in space_items]
     items = []
-    for label, t in spaces:
+    for label, t in space_items:
         sig = t.signature
         ident = SoftFunction(sig, sig, tuple(range(sig.n)), tuple(range(sig.m)))
-        items.append({
-            "label": f"id:{label}",
-            "function": function_to_obj(ident, t, t),
-        })
+        items.append((f"id:{label}", ident, t, t))
     rng = SplitMix64(derive_seed("suite-triples", fingerprint))
-    n_spaces = len(spaces)
+    n_spaces = len(space_items)
     for k in range(cross):
-        sl, t_src = spaces[rng.below(n_spaces)]
-        tl, t_tgt = spaces[rng.below(n_spaces)]
+        sl, t_src = space_items[rng.below(n_spaces)]
+        tl, t_tgt = space_items[rng.below(n_spaces)]
         point_map = tuple(rng.below(t_tgt.signature.n) for _ in range(t_src.signature.n))
         param_map = tuple(rng.below(t_tgt.signature.m) for _ in range(t_src.signature.m))
         f = SoftFunction(t_src.signature, t_tgt.signature, point_map, param_map)
-        items.append({
-            "label": f"map[{k}]:{sl}->{tl}",
-            "function": function_to_obj(f, t_src, t_tgt),
-        })
+        items.append((f"map[{k}]:{sl}->{tl}", f, t_src, t_tgt))
     return items
 
 
+def _ctx(item):
+    """Evaluation context over an item's live objects."""
+    if len(item) == 2:
+        label, t = item
+        return SpaceCtx(t, label)
+    label, f, t_src, t_tgt = item
+    return TripleCtx(f, t_src, t_tgt, label)
+
+
 def _eval_item(args: tuple) -> tuple[int, list]:
-    """Worker: evaluate the selected claims on one rebuilt instance."""
+    """Evaluate the selected claims on one instance; also the worker entry point."""
     idx, item, claim_ids = args
-    ctx = ctx_from_bundle(item)
+    ctx = _ctx(item)
     out = []
     for cid in claim_ids:
         claim = REGISTRY[cid]
@@ -370,47 +389,47 @@ def run_claim_suite(
     raise_on_asserted: bool = True,
 ) -> SuiteResult:
     selected = _select_claims(claim_ids)
+    jobs = worker_count(jobs)
     space_items = _space_items(corpus)
     fp = corpus.fingerprint
-    all_fp = fingerprint_of([parse_space(it["space"]) for it in space_items])
+    all_fp = fingerprint_of([t for _, t in space_items])
     triple_items = _derived_triples(space_items, all_fp, cross_triples)
     items = space_items + triple_items
     cids = [c.id for c in selected]
     work = [(i, item, cids) for i, item in enumerate(items)]
 
     if jobs > 1 and len(work) > 1:
+        # workers receive the live objects, pickled; nothing is re-parsed
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_eval_item, work, chunksize=max(1, len(work) // (jobs * 4))))
     else:
         raw = [_eval_item(w) for w in work]
     raw.sort(key=lambda r: r[0])  # merge in instance order
-    by_idx = {idx: res for idx, res in raw}
+
+    # one pass groups the results by claim, each group in instance order
+    by_claim: dict[str, list] = {cid: [] for cid in cids}
+    for idx, res in raw:
+        for cid, hyp, failures, err in res:
+            by_claim[cid].append((idx, hyp, failures, err))
 
     records = []
     asserted_failures: list[dict] = []
     for claim in selected:
-        ran = hyp_total = fail_total = 0
+        hyp_total = fail_total = 0
         witnesses: list[dict] = []
         internal: list[str] = []
-        for idx, item in enumerate(items):
-            res = by_idx.get(idx, [])
-            for cid, hyp, failures, err in res:
-                if cid != claim.id:
-                    continue
-                ran += 1
-                if err is not None:
-                    internal.append(f"{item['label']}: {err}")
-                    continue
-                hyp_total += hyp
-                fail_total += len(failures)
-                for payload in failures:
-                    if len(witnesses) < WITNESS_CAP:
-                        bundle = {"claim": claim.id, "label": item["label"], "payload": payload}
-                        if "space" in item:
-                            bundle["space"] = item["space"]
-                        else:
-                            bundle["function"] = item["function"]
-                        witnesses.append(bundle)
+        ran = len(by_claim[claim.id])
+        for idx, hyp, failures, err in by_claim[claim.id]:
+            label = items[idx][0]
+            if err is not None:
+                internal.append(f"{label}: {err}")
+                continue
+            hyp_total += hyp
+            fail_total += len(failures)
+            for payload in failures[:WITNESS_CAP - len(witnesses)]:
+                bundle = {"claim": claim.id, "label": label, "payload": payload}
+                bundle.update(_ctx(items[idx]).to_bundle())
+                witnesses.append(bundle)
         if ran == 0:
             raise CorpusError(
                 f"coverage gap: no instance exercises claim {claim.id} "

@@ -73,6 +73,8 @@ class SoftTopology:
         self.absolute = absolute
         self.opens = ordered
         self._mask_set = frozenset(seen)
+        # memos that live and die with this object: encoding, semi tables,
+        # the semicompactness verdict
         self._cache: dict = {}
 
     # -- identity ----------------------------------------------------------
@@ -81,10 +83,13 @@ class SoftTopology:
         return [o.mask for o in self.opens]
 
     def encoding(self) -> str:
-        parts = [self.signature.key(), ",".join(o.encoding() for o in self.opens)]
-        if not self.absolute.is_absolute:
-            parts.append(f"abs={self.absolute.encoding()}")
-        return "::".join(parts)
+        enc = self._cache.get("encoding")
+        if enc is None:
+            parts = [self.signature.key(), ",".join(o.encoding() for o in self.opens)]
+            if not self.absolute.is_absolute:
+                parts.append(f"abs={self.absolute.encoding()}")
+            enc = self._cache["encoding"] = "::".join(parts)
+        return enc
 
     def __eq__(self, other):
         return isinstance(other, SoftTopology) and self.encoding() == other.encoding()

@@ -130,3 +130,41 @@ def test_triple_ctx_seed_depends_on_maps():
     a = TripleCtx(ident, t, t, "a")
     b = TripleCtx(swap, t, t, "b")
     assert a.seed != b.seed
+
+
+def _nested_loop_min_cover(universe, masks):
+    """The subcover oracle as first written: every subset re-ORs its members."""
+    best = None
+    n = len(masks)
+    for s in range(1 << n):
+        got = 0
+        for i in range(n):
+            if s >> i & 1:
+                got |= masks[i]
+        if universe & ~got == 0:
+            size = bin(s).count("1")
+            if best is None or size < best:
+                best = size
+    return best
+
+
+def test_brute_min_cover_matches_nested_loops(monkeypatch):
+    import random
+
+    from softtopo import claims
+
+    class NoKernels:
+        def __getattr__(self, name):
+            raise AssertionError(f"the subcover oracle called kernels.{name}")
+
+    # the oracle must stay independent of the branch-and-bound it checks
+    assert "kernels" not in claims._brute_min_cover.__code__.co_names
+    monkeypatch.setattr(claims, "kernels", NoKernels())
+    rng = random.Random(20120320)
+    for _ in range(300):
+        bits = rng.randint(1, 8)
+        full = (1 << bits) - 1
+        k = rng.randint(0, 10)
+        masks = [rng.getrandbits(bits) for _ in range(k)]
+        universe = rng.choice([0, full, rng.getrandbits(bits)])
+        assert claims._brute_min_cover(universe, masks) == _nested_loop_min_cover(universe, masks)

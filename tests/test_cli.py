@@ -275,3 +275,15 @@ def test_bad_inline_literal(capsys):
     code, _, err = run(capsys, ["classify", "example", "--set", "{oops", "--no-banner"])
     assert code == 2
     assert err.startswith("error: literal:")
+
+
+def test_jobs_below_one_is_refused(tmp_path, capsys):
+    out_dir = str(tmp_path / "c")
+    code, _, err = run(capsys, ["gen", "--universe", "2", "--params", "1", "--exhaustive",
+                                "--jobs", "0", "-o", out_dir, "--no-banner"])
+    assert code == 2
+    assert err.startswith("error: literal: jobs must be at least 1")
+    assert not os.path.exists(out_dir)
+    code, _, err = run(capsys, ["suite", "builtin:example", "--jobs", "0", "--no-banner"])
+    assert code == 2
+    assert err.startswith("error: literal: jobs must be at least 1")

@@ -206,3 +206,66 @@ def test_suite_notes_flag_adopted_readings():
     text = format_suite(result)
     for note in result.notes:
         assert note in text
+
+
+def test_worker_count_clamps_without_starting_workers():
+    from softtopo.explorer import worker_count
+
+    cpus = os.cpu_count() or 1
+    assert worker_count(1) == 1
+    assert worker_count(cpus) == cpus
+    assert worker_count(10**6) == cpus
+    for bad in (0, -4):
+        with pytest.raises(LiteralError):
+            worker_count(bad)
+
+
+def test_suite_over_live_items_exports_matching_bundles(tmp_path):
+    from softtopo import SoftFunction, function_to_obj, replay_witness_dir
+    from softtopo.explorer import _derived_triples, _space_items, export_witnesses, fingerprint_of
+
+    corpus = build_corpus(CorpusSpec(mode="exhaustive", universe=2, parameters=1))
+    result = run_claim_suite(corpus)
+    assert format_suite(run_claim_suite(corpus)) == format_suite(result)
+
+    spaces = _space_items(corpus)
+    triples = _derived_triples(spaces, fingerprint_of([t for _, t in spaces]), 48)
+    by_label = {item[0]: item for item in spaces + triples}
+    # an identity triple shares its space item's object, and so its tables
+    label, t = spaces[0]
+    _, f, t_src, t_tgt = by_label[f"id:{label}"]
+    assert t_src is t_tgt is t
+    assert isinstance(f, SoftFunction)
+
+    assert export_witnesses(result, str(tmp_path)) > 0
+    seen = 0
+    for root, _, files in os.walk(tmp_path / "witnesses"):
+        if "claim.json" not in files:
+            continue
+        with open(os.path.join(root, "claim.json")) as fh:
+            item = by_label[json.load(fh)["label"]]
+        if len(item) == 2:
+            with open(os.path.join(root, "space.json")) as fh:
+                assert json.load(fh) == item[1].to_obj()
+        else:
+            with open(os.path.join(root, "function.json")) as fh:
+                assert json.load(fh) == function_to_obj(*item[1:])
+        assert replay_witness_dir(root)
+        seen += 1
+    assert seen == sum(len(r.witnesses) for r in result.records)
+
+
+def test_semicompact_verdict_is_kept_per_object(monkeypatch):
+    from softtopo import analysis, is_semicompact, parse_space
+
+    calls = []
+    checked = analysis._check_semicompact
+    monkeypatch.setattr(analysis, "_check_semicompact", lambda t: calls.append(t) or checked(t))
+    t = build_corpus(CorpusSpec(mode="exhaustive", universe=2, parameters=1)).instances[1]
+    first = is_semicompact(t)
+    assert is_semicompact(t) == first
+    assert len(calls) == 1 and calls[0] is t
+    # an equal space parsed afresh carries no verdict: the checks run again
+    copy = parse_space(t.to_obj())
+    assert is_semicompact(copy) == first
+    assert len(calls) == 2 and calls[1] is copy
