@@ -35,7 +35,7 @@ from .core import SoftSet, SpaceSignature, bit_cap
 from .errors import BitCapExceeded, CorpusError, InternalAssertionError, LiteralError
 from .maps import SoftFunction
 from .prng import SplitMix64, derive_seed
-from .topology import SoftTopology, load_space, parse_space, save_space
+from .topology import SoftTopology, load_space, save_space
 from .version import TOOL
 
 WITNESS_CAP = 24
@@ -169,11 +169,9 @@ def _instance_seed(spec: CorpusSpec, index: int) -> int:
     return derive_seed("corpus-instance", spec.seed, index)
 
 
-def _gen_one(args: tuple) -> dict:
-    spec_obj, index = args
-    spec = parse_corpus_spec(spec_obj)
-    t = random_topology(spec.signature(), _instance_seed(spec, index), spec.density)
-    return t.to_obj()
+def _gen_one(args: tuple) -> SoftTopology:
+    spec, index = args
+    return random_topology(spec.signature(), _instance_seed(spec, index), spec.density)
 
 
 def worker_count(jobs: int) -> int:
@@ -188,13 +186,14 @@ def build_corpus(spec: CorpusSpec, jobs: int = 1) -> Corpus:
     jobs = worker_count(jobs)
     if spec.mode == "exhaustive":
         return Corpus(list(enumerate_topologies(spec.signature())), spec)
-    args = [(spec.to_obj(), i) for i in range(spec.count)]
+    # spaces come back live (pickled from workers); only imported files are re-validated
+    args = [(spec, i) for i in range(spec.count)]
     if jobs > 1 and spec.count > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            objs = list(pool.map(_gen_one, args, chunksize=max(1, spec.count // (jobs * 4))))
+            spaces = list(pool.map(_gen_one, args, chunksize=max(1, spec.count // (jobs * 4))))
     else:
-        objs = [_gen_one(a) for a in args]
-    return Corpus([parse_space(o) for o in objs], spec)
+        spaces = [_gen_one(a) for a in args]
+    return Corpus(spaces, spec)
 
 
 # --- persistence -----------------------------------------------------------

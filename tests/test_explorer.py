@@ -21,6 +21,7 @@ from softtopo import (
     random_topology,
     run_claim_suite,
 )
+from softtopo.explorer import _instance_seed
 
 from .conftest import SIG21, SIG32
 
@@ -121,6 +122,16 @@ def test_random_corpus_build_is_deterministic():
     assert a.fingerprint == b.fingerprint
     other = CorpusSpec(mode="random", universe=3, parameters=2, count=30, seed=43, density=0.3)
     assert build_corpus(other).fingerprint != a.fingerprint
+
+
+def test_random_corpus_is_the_same_at_any_job_count():
+    spec = CorpusSpec(mode="random", universe=3, parameters=2, count=8, seed=11, density=0.05)
+    one = build_corpus(spec, jobs=1)
+    two = build_corpus(spec, jobs=2)
+    assert [t.encoding() for t in one.instances] == [t.encoding() for t in two.instances]
+    assert one.fingerprint == two.fingerprint
+    for i, t in enumerate(two.instances):
+        assert t == random_topology(spec.signature(), _instance_seed(spec, i), spec.density)
 
 
 def test_corpus_round_trip(tmp_path):
