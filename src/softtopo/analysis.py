@@ -7,7 +7,7 @@ layer to cross-check the shortcut route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import kernels
 from .core import SoftPoint, SoftSet
@@ -131,82 +131,12 @@ def analyze_cover(t: SoftTopology, carrier: SoftSet, family: Sequence[SoftSet]) 
     )
 
 
-def _intersections_nonnull(masks: Sequence[int], full: int) -> bool:
-    # literal FIP: every nonempty subfamily, checked via subset DP
-    k = len(masks)
-    if k == 0:
-        return True
-    if k > 16:
-        raise LiteralError("FIP literal check capped at 16 members")
-    inter = [full] * (1 << k)
-    for s in range(1, 1 << k):
-        low = (s & -s).bit_length() - 1
-        inter[s] = inter[s & (s - 1)] & masks[low]
-        if inter[s] == 0:
-            return False
-    return True
-
-
-def sampled_subfamilies(masks: Sequence[int], seed: int, count: int, max_size: int) -> Iterator[tuple[int, ...]]:
-    """Deterministic subfamily stream: all of them when small, sampled otherwise."""
-    n = len(masks)
-    if n <= 9:
-        for s in range(1, 1 << n):
-            yield tuple(masks[i] for i in range(n) if s >> i & 1)
-        return
-    rng = SplitMix64(seed)
-    for _ in range(count):
-        size = 1 + rng.below(max_size)
-        idxs = rng.sample_distinct(min(size, n), n)
-        yield tuple(masks[i] for i in sorted(idxs))
-
-
 def is_semicompact(t: SoftTopology) -> tuple[bool, str]:
-    """Trivially true on finite instances; both closed-family characterizations
-    are still verified mechanically so a regression here is loud. The verdict
-    is kept on the space, so the checks run once per object."""
-    got = t._cache.get("semicompact")
-    if got is None:
-        got = t._cache["semicompact"] = _check_semicompact(t)
-    return got
+    """Trivially true on finite instances: every cover is already finite.
 
-
-def _check_semicompact(t: SoftTopology) -> tuple[bool, str]:
-    tab = tables(t)
-    full = t.absolute.mask
-    seed = derive_seed("semicompact", t.encoding())
-    checked = 0
-    for sub in sampled_subfamilies(tab.scss_masks, seed, count=24, max_size=8):
-        total = full
-        for m in sub:
-            total &= m
-        fip = _intersections_nonnull(sub, full) if len(sub) <= 12 else (total != 0)
-        if fip != (total != 0):
-            raise InternalAssertionError(
-                "finite FIP shortcut disagrees with the literal subfamily scan"
-            )
-        if fip and total == 0:
-            raise InternalAssertionError("semiclosed family with FIP has null intersection")
-        checked += 1
-    rng = SplitMix64(derive_seed("semicompact-sscl", t.encoding()))
-    for _ in range(16):
-        size = 1 + rng.below(6)
-        sub = [rng.below(full + 1) & full for _ in range(size)]
-        total = full
-        for m in sub:
-            total &= m
-        if total != 0:  # family has FIP
-            got = full
-            for m in sub:
-                got &= tab.sscl[m]
-            if got == 0:
-                raise InternalAssertionError("FIP family with null intersection of sscl values")
-            checked += 1
-    note = (
-        "finite instance: every cover is finite, so semicompactness is immediate; "
-        f"both closed-family characterizations verified on {checked} sampled subfamilies"
-    )
-    return True, note
+    The closed-family characterizations are checked mechanically by the
+    claims that promise them (D4.2, T4.7), not here."""
+    return True, "finite instance: every cover is finite, so semicompactness is immediate"
 
 
 def _lead_bit(mask: int) -> int:
@@ -255,7 +185,8 @@ def is_semiconnected(t: SoftTopology) -> bool:
     return find_semiseparation(t) is None
 
 
-def _points(t: SoftTopology) -> list[SoftPoint]:
+def carrier_points(t: SoftTopology) -> list[SoftPoint]:
+    """The singleton soft points of the carrier, parameter-major."""
     sig = t.signature
     out = []
     for i, param in enumerate(sig.parameters):
@@ -263,10 +194,6 @@ def _points(t: SoftTopology) -> list[SoftPoint]:
             if t.absolute.mask & sig.cell_bit(i, j):
                 out.append(SoftPoint(sig, param, elem))
     return out
-
-
-def _point_lit(p: SoftPoint) -> str:
-    return p.label()
 
 
 def _set_lit(t: SoftTopology, mask: int) -> dict:
@@ -285,7 +212,7 @@ def check_axiom(t: SoftTopology, axiom: str, all_witnesses: bool = False) -> Axi
     tab = tables(t)
     full = t.absolute.mask
     ssint_t = tab.ssint
-    pts = _points(t)
+    pts = carrier_points(t)
     wit: list[dict] = []
 
     def done() -> AxiomCheck:
@@ -433,7 +360,7 @@ def naive_check_axiom(t: SoftTopology, axiom: str) -> Optional[bool]:
     if bin(full).count("1") > NAIVE_CELL_CAP:
         return None
     soss = tab.soss_masks
-    pts = [p.bit for p in _points(t)]
+    pts = [p.bit for p in carrier_points(t)]
 
     if axiom == "semi_T0":
         return all(

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import kernels
 from .analysis import (
     AXIOM_NAMES,
     analyze_cover,
+    carrier_points,
     check_axiom,
     find_clopen,
     find_semiseparation,
@@ -119,13 +120,7 @@ class SpaceCtx:
 
     @cached_property
     def points(self) -> list[SoftPoint]:
-        sig = self.t.signature
-        out = []
-        for i, param in enumerate(sig.parameters):
-            for j, elem in enumerate(sig.universe):
-                if self.full & sig.cell_bit(i, j):
-                    out.append(SoftPoint(sig, param, elem))
-        return out
+        return carrier_points(self.t)
 
     @cached_property
     def report(self):
@@ -985,8 +980,9 @@ def _d4_1(ctx: SpaceCtx) -> Iterator[Check]:
 )
 def _d4_2(ctx: SpaceCtx) -> Iterator[Check]:
     ok_flag, note = is_semicompact(ctx.t)
-    ok = ok_flag and "finite" in note
-    yield ok, None if ok else {"note": note}
+    bad = _semicompact_disagreement(ctx.t)
+    ok = ok_flag and "finite" in note and bad is None
+    yield ok, None if ok else {"note": note, **(bad or {})}
 
 
 @_claim(
@@ -1004,7 +1000,8 @@ def _r4_3(ctx: SpaceCtx) -> Iterator[Check]:
         yield ok, None if ok else {"subfamily": [ctx.lit(m) for m in fam_masks[:12]]}
 
 
-def _fip_literal(masks: list[int], full: int) -> bool:
+def _fip_literal(masks: Sequence[int], full: int) -> bool:
+    # literal FIP: every nonempty subfamily meets, by subset DP; a fold above 12 members
     k = len(masks)
     if k > 12:
         total = full
@@ -1020,6 +1017,59 @@ def _fip_literal(masks: list[int], full: int) -> bool:
     return True
 
 
+def _all_subfamilies(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every nonempty subfamily, members in family order, subsets in binary counting order."""
+    n = len(masks)
+    for s in range(1, 1 << n):
+        yield tuple(masks[i] for i in range(n) if s >> i & 1)
+
+
+def _semicompact_disagreement(t: SoftTopology) -> Optional[dict]:
+    """Run both closed-family characterizations of semicompactness on t.
+
+    Semiclosed subfamilies (all of them up to nine members, 24 seeded draws
+    otherwise) must have the literal finite intersection property exactly
+    when they meet. Seeded families of lattice sets that meet must keep a
+    nonnull intersection of their sscl values. Returns the first
+    disagreement as a payload, or None.
+    """
+    tab = tables(t)
+    sig = t.signature
+    full = t.absolute.mask
+    scss = tab.scss_masks
+    n = len(scss)
+    fams: Iterable[tuple[int, ...]]
+    if n <= 9:
+        fams = _all_subfamilies(scss)
+    else:
+        rng = SplitMix64(derive_seed("semicompact", t.encoding()))
+        fams = []
+        for _ in range(24):
+            size = 1 + rng.below(8)
+            fams.append(tuple(scss[i] for i in sorted(rng.sample_distinct(min(size, n), n))))
+    for fam in fams:
+        total = full
+        for m in fam:
+            total &= m
+        if _fip_literal(fam, full) != (total != 0):
+            return {"check": "semiclosed-fip", "subfamily": [SoftSet(sig, m).to_literal() for m in fam]}
+    rng = SplitMix64(derive_seed("semicompact-sscl", t.encoding()))
+    for _ in range(16):
+        size = 1 + rng.below(6)
+        fam = [rng.below(full + 1) & full for _ in range(size)]
+        total = full
+        for m in fam:
+            total &= m
+        if total == 0:
+            continue
+        got = full
+        for m in fam:
+            got &= tab.sscl[m]
+        if got == 0:
+            return {"check": "sscl-fip", "subfamily": [SoftSet(sig, m).to_literal() for m in fam]}
+    return None
+
+
 @_claim(
     "T4.4", "asserted-invariant", "space",
     "a semiclosed family with the finite intersection property meets in a nonnull set",
@@ -1030,10 +1080,7 @@ def _t4_4(ctx: SpaceCtx) -> Iterator[Check]:
     scss = ctx.tab.scss_masks
     fams: Iterator
     if len(scss) <= 9:
-        fams = (
-            [scss[i] for i in range(len(scss)) if s >> i & 1]
-            for s in range(1, 1 << len(scss))
-        )
+        fams = _all_subfamilies(scss)
     else:
         fams = _sample_families(ctx, "T4.4", scss, 24)
     for fam in fams:
@@ -1091,8 +1138,8 @@ def _t4_7(ctx: SpaceCtx) -> Iterator[Check]:
     for v in ctx.carriers:
         if v.mask not in ctx.tab.scss_set:
             continue
-        ok, _ = is_semicompact(ctx.sub(v).t)
-        yield ok, None if ok else {"carrier": v.to_literal()}
+        bad = _semicompact_disagreement(ctx.sub(v).t)
+        yield bad is None, None if bad is None else {"carrier": v.to_literal(), **bad}
 
 
 # --- connectedness claims ------------------------------------------------------

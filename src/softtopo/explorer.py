@@ -558,6 +558,8 @@ def load_witness_dir(path: str) -> dict:
             raise CorpusError(f"cannot read witness file {name}: {exc}")
 
     meta = read("claim.json")
+    if not isinstance(meta, dict):
+        raise CorpusError("witness file claim.json must hold a JSON object")
     payload = read("payload.json")
     bundle = {
         "claim": meta.get("claim"),

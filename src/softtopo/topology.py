@@ -73,8 +73,7 @@ class SoftTopology:
         self.absolute = absolute
         self.opens = ordered
         self._mask_set = frozenset(seen)
-        # memos that live and die with this object: encoding, semi tables,
-        # the semicompactness verdict
+        # memos that live and die with this object: encoding, semi tables
         self._cache: dict = {}
 
     # -- identity ----------------------------------------------------------

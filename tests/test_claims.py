@@ -1,4 +1,7 @@
-from softtopo import CorpusSpec, build_corpus, run_claim_suite
+import pytest
+
+from softtopo import CorpusSpec, build_corpus, discrete, run_claim_suite
+from softtopo import claims
 from softtopo.claims import (
     ASSERTED_IDS,
     REGISTRY,
@@ -10,8 +13,9 @@ from softtopo.claims import (
     evaluate_claim,
     replay_witness,
 )
+from softtopo.semi import tables
 
-from .conftest import example_topology
+from .conftest import SIG32, example_topology
 
 # statements deliberately left open to refutation search
 EXPECTED_UNDER_TEST = {
@@ -168,3 +172,56 @@ def test_brute_min_cover_matches_nested_loops(monkeypatch):
         masks = [rng.getrandbits(bits) for _ in range(k)]
         universe = rng.choice([0, full, rng.getrandbits(bits)])
         assert claims._brute_min_cover(universe, masks) == _nested_loop_min_cover(universe, masks)
+
+
+# the semicompactness checks live in D4.2 and T4.7; these mutants must show there
+
+
+def _zero_sscl(t):
+    tab = tables(t)
+    tab.__dict__["sscl"] = dict.fromkeys(tab.sscl, 0)
+
+
+def _semiclosed_subspaces(ctx):
+    subs = [ctx.sub(v).t for v in ctx.carriers if v.mask in ctx.tab.scss_set]
+    assert subs
+    return subs
+
+
+@pytest.mark.parametrize("make", [example_topology, lambda: discrete(SIG32)])
+def test_d4_2_catches_a_zeroed_sscl_table(make):
+    ctx = SpaceCtx(make(), "mutant")
+    _zero_sscl(ctx.t)
+    hyp, failures = evaluate_claim(REGISTRY["D4.2"], ctx)
+    assert hyp == 1 and len(failures) == 1
+    assert failures[0]["check"] == "sscl-fip"
+
+
+@pytest.mark.parametrize("make", [example_topology, lambda: discrete(SIG32)])
+def test_d4_2_catches_a_lying_fip_routine(monkeypatch, make):
+    ctx = SpaceCtx(make(), "mutant")
+    scss = ctx.tab.scss_masks
+    assert any(f & g == 0 for f in scss for g in scss)  # a null-intersection subfamily exists
+    monkeypatch.setattr(claims, "_fip_literal", lambda masks, full: True)
+    hyp, failures = evaluate_claim(REGISTRY["D4.2"], ctx)
+    assert hyp == 1 and len(failures) == 1
+    assert failures[0]["check"] == "semiclosed-fip"
+
+
+def test_t4_7_catches_both_mutants_on_a_semiclosed_carrier(monkeypatch):
+    ctx = SpaceCtx(example_topology(), "mutant")
+    subs = _semiclosed_subspaces(ctx)
+    assert evaluate_claim(REGISTRY["T4.7"], ctx) == (len(subs), [])
+
+    for sub in subs:
+        _zero_sscl(sub)
+    hyp, failures = evaluate_claim(REGISTRY["T4.7"], ctx)
+    assert hyp == len(subs)
+    assert [f["check"] for f in failures] == ["sscl-fip"] * len(subs)
+
+    ctx = SpaceCtx(example_topology(), "mutant")
+    subs = _semiclosed_subspaces(ctx)
+    monkeypatch.setattr(claims, "_fip_literal", lambda masks, full: True)
+    hyp, failures = evaluate_claim(REGISTRY["T4.7"], ctx)
+    assert hyp == len(subs)
+    assert [f["check"] for f in failures] == ["semiclosed-fip"] * len(subs)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -257,6 +258,39 @@ def test_replay_detects_tampering(tmp_path, capsys):
     code, out, _ = run(capsys, ["replay", wdir, "--no-banner"])
     assert code == 1
     assert "reproduced=false" in out
+
+
+def test_replay_refuses_a_claim_file_that_is_not_an_object(tmp_path, capsys):
+    out_dir = str(tmp_path / "c")
+    run(capsys, ["gen", "--universe", "2", "--params", "1", "--exhaustive", "-o", out_dir])
+    run(capsys, ["suite", out_dir, "--claims", "R2.3.conv", "--no-banner"])
+    wdir = os.path.join(out_dir, "witnesses", "R2.3.conv", "0")
+    with open(os.path.join(wdir, "claim.json"), "w") as fh:
+        json.dump([], fh)
+    code, out, err = run(capsys, ["replay", wdir, "--no-banner"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: corpus: witness file claim.json must hold a JSON object\n"
+
+
+# sha256 of `suite --no-banner` over the exhaustive corpus of signatures
+# (1,1), (2,1), (1,2), (3,1), (1,3): 67 spaces plus the builtins
+SMALL_SUITE_REPORT_SHA256 = "5a3cf25ef65b0ab76e21c752c6d72e7c4a1b3138f341deb377347bbd0d4f44dd"
+
+
+def test_suite_report_bytes_are_pinned(tmp_path, capsys):
+    from softtopo import Corpus, enumerate_topologies, export_corpus
+    from softtopo.explorer import auto_signature
+
+    sigs = ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3))
+    instances = [t for n, m in sigs for t in enumerate_topologies(auto_signature(n, m))]
+    assert len(instances) == 67
+    corpus_dir = str(tmp_path / "c")
+    export_corpus(Corpus(instances), corpus_dir)
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, ["suite", corpus_dir, "--jobs", jobs, "--no-banner"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SMALL_SUITE_REPORT_SHA256
 
 
 def test_classify_json_format(capsys):

@@ -266,17 +266,33 @@ def test_suite_over_live_items_exports_matching_bundles(tmp_path):
     assert seen == sum(len(r.witnesses) for r in result.records)
 
 
-def test_semicompact_verdict_is_kept_per_object(monkeypatch):
-    from softtopo import analysis, is_semicompact, parse_space
+def test_semicompact_checks_run_only_in_d4_2_and_t4_7(monkeypatch):
+    from softtopo import axiom_report, claims, is_semicompact
+    from softtopo.claims import REGISTRY, SpaceCtx, evaluate_claim
+    from softtopo.semi import tables
+
+    from .conftest import example_topology
 
     calls = []
-    checked = analysis._check_semicompact
-    monkeypatch.setattr(analysis, "_check_semicompact", lambda t: calls.append(t) or checked(t))
-    t = build_corpus(CorpusSpec(mode="exhaustive", universe=2, parameters=1)).instances[1]
-    first = is_semicompact(t)
-    assert is_semicompact(t) == first
+    checked = claims._semicompact_disagreement
+    monkeypatch.setattr(
+        claims, "_semicompact_disagreement", lambda t: calls.append(t) or checked(t)
+    )
+    t = example_topology()
+    # the verdict and the axiom report do no work for it, and build no sscl table
+    assert is_semicompact(t)[0]
+    assert axiom_report(t).flag("semicompact")
+    assert calls == []
+    assert "sscl" not in vars(tables(t))
+
+    ctx = SpaceCtx(t, "example")
+    assert evaluate_claim(REGISTRY["D4.2"], ctx) == (1, [])
     assert len(calls) == 1 and calls[0] is t
-    # an equal space parsed afresh carries no verdict: the checks run again
-    copy = parse_space(t.to_obj())
-    assert is_semicompact(copy) == first
-    assert len(calls) == 2 and calls[1] is copy
+
+    calls.clear()
+    semiclosed = [v for v in ctx.carriers if v.mask in ctx.tab.scss_set]
+    assert semiclosed
+    assert evaluate_claim(REGISTRY["T4.7"], ctx) == (len(semiclosed), [])
+    assert len(calls) == len(semiclosed)
+    for got, v in zip(calls, semiclosed):
+        assert got is ctx.sub(v).t
