@@ -37,7 +37,7 @@ from .errors import LiteralError
 from .maps import SoftFunction, classify_map, function_to_obj, parse_function
 from .prng import SplitMix64, derive_seed
 from .semi import tables
-from .topology import SoftTopology, check_topology, discrete, from_subbasis, indiscrete, parse_space, subspace
+from .topology import SoftTopology, discrete, from_subbasis, indiscrete, parse_space, subspace
 
 Check = tuple[bool, Optional[dict]]
 
@@ -167,16 +167,16 @@ class SpaceCtx:
         return _submasks_asc(self.full)
 
     def interior(self, m: int) -> int:
-        return kernels.interior_mask(m, self.tab.open_masks)
+        return kernels.interior_mask(m, self.t.open_masks)
 
     def closure(self, m: int) -> int:
-        return kernels.closure_mask(m, self.tab.open_masks, self.full)
+        return kernels.closure_mask(m, self.t.open_masks, self.full)
 
     def lit(self, m: int) -> dict:
         return SoftSet(self.t.signature, m).to_literal()
 
     def is_discrete(self) -> bool:
-        return len(self.tab.open_masks) == 1 << self.full.bit_count()
+        return len(self.t.open_masks) == 1 << self.full.bit_count()
 
     def to_bundle(self) -> dict:
         base = self.t
@@ -331,10 +331,10 @@ def _e2_2(ctx: SpaceCtx) -> Iterator[Check]:
     "all members of the open and closed families of every instance",
 )
 def _r2_3(ctx: SpaceCtx) -> Iterator[Check]:
-    for o in ctx.tab.open_masks:
+    for o in ctx.t.open_masks:
         ok = o in ctx.tab.soss_set
         yield ok, None if ok else {"set": ctx.lit(o), "family": "open"}
-    for o in ctx.tab.open_masks:
+    for o in ctx.t.open_masks:
         c = ctx.full ^ o
         ok = c in ctx.tab.scss_set
         yield ok, None if ok else {"set": ctx.lit(c), "family": "closed"}
@@ -346,13 +346,12 @@ def _r2_3(ctx: SpaceCtx) -> Iterator[Check]:
     "all semiopen and semiclosed sets of every instance",
 )
 def _r2_3_conv(ctx: SpaceCtx) -> Iterator[Check]:
-    opens = frozenset(ctx.tab.open_masks)
-    closed = frozenset(ctx.full ^ o for o in ctx.tab.open_masks)
+    opens = ctx.t.open_mask_set
     for s in ctx.tab.soss_masks:
         ok = s in opens
         yield ok, None if ok else {"set": ctx.lit(s), "found": "semiopen-not-open"}
     for s in ctx.tab.scss_masks:
-        ok = s in closed
+        ok = (ctx.full ^ s) in opens
         yield ok, None if ok else {"set": ctx.lit(s), "found": "semiclosed-not-closed"}
 
 
@@ -713,21 +712,21 @@ def _t2_13(ctx: SpaceCtx) -> Iterator[Check]:
 def _d3_1(ctx: TripleCtx) -> Iterator[Check]:
     f, cls = ctx.f, ctx.cls
     src, tgt = ctx.src, ctx.tgt
-    opens_src = frozenset(src.tab.open_masks)
+    opens_src = src.t.open_mask_set
     slow = {
-        "continuous": all(f.preimage_mask(o) in opens_src for o in tgt.tab.open_masks),
+        "continuous": all(f.preimage_mask(o) in opens_src for o in tgt.t.open_masks),
         "semicontinuous": all(
-            f.preimage_mask(o) in src.oracle_soss_set for o in tgt.tab.open_masks
+            f.preimage_mask(o) in src.oracle_soss_set for o in tgt.t.open_masks
         ),
         "irresolute": all(
             f.preimage_mask(s) in src.oracle_soss_set for s in tgt.tab.oracle_soss_masks
         ),
         "semiopen_map": all(
-            (f.image_mask(o) & tgt.full) in tgt.oracle_soss_set for o in src.tab.open_masks
+            (f.image_mask(o) & tgt.full) in tgt.oracle_soss_set for o in src.t.open_masks
         ),
         "semiclosed_map": all(
             (f.image_mask(src.full ^ o) & tgt.full) in tgt.oracle_scss_set
-            for o in src.tab.open_masks
+            for o in src.t.open_masks
         ),
     }
     refail = {
@@ -757,7 +756,7 @@ def _d3_1(ctx: TripleCtx) -> Iterator[Check]:
 def _r3_2_a(ctx: TripleCtx) -> Iterator[Check]:
     via_closed = all(
         ctx.f.preimage_mask(ctx.tgt.full ^ o) in ctx.src.tab.scss_set
-        for o in ctx.tgt.tab.open_masks
+        for o in ctx.tgt.t.open_masks
     )
     ok = via_closed == ctx.cls.semicontinuous
     yield ok, None if ok else {"flag": "semicontinuous", "via_closed": via_closed}
@@ -790,18 +789,12 @@ def _r3_2_b_conv(ctx: TripleCtx) -> Iterator[Check]:
     yield ok, None if ok else {"set": w.to_literal() if w else None}
 
 
-def _src_lattice(ctx: TripleCtx, tag: str) -> Iterator[int]:
-    if ctx.src.full.bit_count() <= 8:
-        return _submasks_asc(ctx.src.full)
+def _side_lattice(ctx: TripleCtx, side: SpaceCtx, tag: str) -> Iterator[int]:
+    """Every set of one side's lattice up to 8 bits, else 256 draws from the triple's rng."""
+    if side.full.bit_count() <= 8:
+        return _submasks_asc(side.full)
     rng = ctx.rng(tag)
-    return iter([rng.below(ctx.src.full + 1) & ctx.src.full for _ in range(256)])
-
-
-def _tgt_lattice(ctx: TripleCtx, tag: str) -> Iterator[int]:
-    if ctx.tgt.full.bit_count() <= 8:
-        return _submasks_asc(ctx.tgt.full)
-    rng = ctx.rng(tag)
-    return iter([rng.below(ctx.tgt.full + 1) & ctx.tgt.full for _ in range(256)])
+    return iter([rng.below(side.full + 1) & side.full for _ in range(256)])
 
 
 @_claim(
@@ -812,7 +805,7 @@ def _tgt_lattice(ctx: TripleCtx, tag: str) -> Iterator[int]:
 def _t3_3_fwd(ctx: TripleCtx) -> Iterator[Check]:
     if not ctx.cls.semicontinuous:
         return
-    for s in _src_lattice(ctx, "T3.3.fwd"):
+    for s in _side_lattice(ctx, ctx.src, "T3.3.fwd"):
         img = ctx.f.image_mask(ctx.src.tab.sscl[s]) & ctx.tgt.full
         ok = img & ~ctx.tgt.closure(ctx.f.image_mask(s) & ctx.tgt.full) == 0
         yield ok, None if ok else {"set": ctx.src.lit(s)}
@@ -827,7 +820,7 @@ def _t3_3(ctx: TripleCtx) -> Iterator[Check]:
     rhs = all(
         ctx.f.image_mask(ctx.src.tab.sscl[s]) & ctx.tgt.full
         & ~ctx.tgt.closure(ctx.f.image_mask(s) & ctx.tgt.full) == 0
-        for s in _src_lattice(ctx, "T3.3")
+        for s in _side_lattice(ctx, ctx.src, "T3.3")
     )
     ok = rhs == ctx.cls.semicontinuous
     yield ok, None if ok else {"flag": "semicontinuous", "inequality_holds": rhs}
@@ -843,7 +836,7 @@ def _t3_4(ctx: TripleCtx) -> Iterator[Check]:
     rhs = all(
         ctx.src.interior(ctx.f.preimage_mask(h))
         & ~ctx.src.tab.ssint[ctx.f.preimage_mask(h)] == 0
-        for h in _tgt_lattice(ctx, "T3.4")
+        for h in _side_lattice(ctx, ctx.tgt, "T3.4")
     )
     ok = rhs == ctx.cls.semicontinuous
     yield ok, None if ok else {"flag": "semicontinuous", "inequality_holds": rhs}
@@ -857,7 +850,7 @@ def _t3_4(ctx: TripleCtx) -> Iterator[Check]:
 def _t3_5_fwd(ctx: TripleCtx) -> Iterator[Check]:
     if not ctx.cls.semiopen_map:
         return
-    for s in _src_lattice(ctx, "T3.5.fwd"):
+    for s in _side_lattice(ctx, ctx.src, "T3.5.fwd"):
         img = ctx.f.image_mask(ctx.src.interior(s)) & ctx.tgt.full
         ok = img & ~ctx.tgt.tab.ssint[ctx.f.image_mask(s) & ctx.tgt.full] == 0
         yield ok, None if ok else {"set": ctx.src.lit(s)}
@@ -872,7 +865,7 @@ def _t3_5(ctx: TripleCtx) -> Iterator[Check]:
     rhs = all(
         ctx.f.image_mask(ctx.src.interior(s)) & ctx.tgt.full
         & ~ctx.tgt.tab.ssint[ctx.f.image_mask(s) & ctx.tgt.full] == 0
-        for s in _src_lattice(ctx, "T3.5")
+        for s in _side_lattice(ctx, ctx.src, "T3.5")
     )
     ok = rhs == ctx.cls.semiopen_map
     yield ok, None if ok else {"flag": "semiopen_map", "inequality_holds": rhs}
@@ -886,8 +879,8 @@ def _t3_5(ctx: TripleCtx) -> Iterator[Check]:
 def _t3_6(ctx: TripleCtx) -> Iterator[Check]:
     if not ctx.cls.semiopen_map:
         return
-    closed = [ctx.src.full ^ o for o in ctx.src.tab.open_masks]
-    for k in _tgt_lattice(ctx, "T3.6"):
+    closed = [ctx.src.full ^ o for o in ctx.src.t.open_masks]
+    for k in _side_lattice(ctx, ctx.tgt, "T3.6"):
         pre = ctx.f.preimage_mask(k)
         for fc in closed:
             if pre & ~fc:
@@ -910,7 +903,7 @@ def _t3_7(ctx: TripleCtx) -> Iterator[Check]:
     rhs = all(
         ctx.tgt.tab.sscl[ctx.f.image_mask(s) & ctx.tgt.full]
         & ~(ctx.f.image_mask(ctx.src.closure(s)) & ctx.tgt.full) == 0
-        for s in _src_lattice(ctx, "T3.7")
+        for s in _side_lattice(ctx, ctx.src, "T3.7")
     )
     ok = rhs == ctx.cls.semiclosed_map
     yield ok, None if ok else {"flag": "semiclosed_map", "inequality_holds": rhs}
@@ -919,7 +912,8 @@ def _t3_7(ctx: TripleCtx) -> Iterator[Check]:
 # --- cover and compactness claims ----------------------------------------------
 
 
-def _sample_families(ctx: SpaceCtx, tag: str, pool: list[int], count: int) -> Iterator[list[int]]:
+def _sample_families(ctx: SpaceCtx, tag: str, pool: Sequence[int],
+                     count: int) -> Iterator[list[int]]:
     rng = ctx.rng(tag)
     n = len(pool)
     for _ in range(count):
@@ -991,9 +985,9 @@ def _d4_2(ctx: SpaceCtx) -> Iterator[Check]:
     "sampled open covers per instance",
 )
 def _r4_3(ctx: SpaceCtx) -> Iterator[Check]:
-    ok = all(o in ctx.tab.soss_set for o in ctx.tab.open_masks)
+    ok = all(o in ctx.tab.soss_set for o in ctx.t.open_masks)
     yield ok, None if ok else {"family": "open"}
-    for fam_masks in _sample_families(ctx, "R4.3", ctx.tab.open_masks, 6):
+    for fam_masks in _sample_families(ctx, "R4.3", ctx.t.open_masks, 6):
         fam_masks = list(fam_masks) + [ctx.full]  # force a cover
         rep = analyze_cover(ctx.t, ctx.t.absolute, [SoftSet(ctx.t.signature, m) for m in fam_masks])
         ok = rep.is_cover and rep.is_semiopen_cover and rep.minimal_subcover is not None
@@ -1119,7 +1113,7 @@ def _t4_5(ctx: SpaceCtx) -> Iterator[Check]:
 def _t4_6(ctx: TripleCtx) -> Iterator[Check]:
     if not ctx.cls.semicontinuous:
         return
-    for fam_masks in _sample_families(ctx.tgt, "T4.6", ctx.tgt.tab.open_masks, 4):
+    for fam_masks in _sample_families(ctx.tgt, "T4.6", ctx.tgt.t.open_masks, 4):
         fam_masks = list(fam_masks) + [ctx.tgt.full]
         rep = analyze_cover(
             ctx.t_tgt, ctx.t_tgt.absolute, [SoftSet(ctx.t_tgt.signature, m) for m in fam_masks]
@@ -1254,9 +1248,9 @@ def _t5_6(ctx: TripleCtx) -> Iterator[Check]:
         return
     m = ctx.f.image_mask(ctx.src.full) & ctx.tgt.full
     simg = subspace(ctx.t_tgt, SoftSet(ctx.t_tgt.signature, m))
-    sub_opens = frozenset(simg.open_masks())
+    sub_opens = simg.open_mask_set
     bad = next(
-        (o for o in sorted(sub_opens) if o and o != m and (m & ~o) in sub_opens), None
+        (o for o in simg.open_masks if o and o != m and (m & ~o) in sub_opens), None
     )
     yield bad is None, None if bad is None else {"set": ctx.tgt.lit(bad)}
 
@@ -1520,7 +1514,7 @@ def _t6_16_open(ctx: TripleCtx) -> Iterator[Check]:
     ):
         return
     src, tgt = ctx.src, ctx.tgt
-    opens_tgt = frozenset(tgt.tab.open_masks)
+    opens_tgt = tgt.t.open_mask_set
     for l_m, m_m in _disjoint_scss_pairs(tgt, 8):
         pl = ctx.f.preimage_mask(l_m)
         pm = ctx.f.preimage_mask(m_m)
@@ -1704,15 +1698,15 @@ def _inv_subbasis(ctx: SpaceCtx) -> Iterator[Check]:
     if ctx.full != ctx.t.signature.full_mask:
         return
     sig = ctx.t.signature
-    regen = from_subbasis(sig, [SoftSet(sig, m) for m in ctx.tab.open_masks])
+    regen = from_subbasis(sig, [SoftSet(sig, m) for m in ctx.t.open_masks])
     ok = regen == ctx.t
     yield ok, None if ok else {"detail": "regeneration changed the open family"}
     rng = ctx.rng("INV.TOPO.SUBBASIS")
     for _ in range(4):
         seeds = [SoftSet(sig, rng.below(ctx.full + 1)) for _ in range(1 + rng.below(4))]
         t2 = from_subbasis(sig, seeds)
-        viol = check_topology(sig, t2.opens)
-        ok = viol is None and all(s.mask in frozenset(t2.open_masks()) for s in seeds)
+        viol = kernels.check_family(list(t2.open_masks), ctx.full)
+        ok = viol is None and all(s.mask in t2.open_mask_set for s in seeds)
         yield ok, None if ok else {"subfamily": [s.to_literal() for s in seeds]}
 
 
@@ -1736,9 +1730,8 @@ def _inv_subspace(ctx: SpaceCtx) -> Iterator[Check]:
         ok = two_step == one_step
         if ok:
             sub = subspace(ctx.t, c1)
-            got = sorted(sub.open_masks())
-            want = sorted({o & c1.mask for o in ctx.tab.open_masks})
-            ok = got == want
+            want = sorted({o & c1.mask for o in ctx.t.open_masks})
+            ok = list(sub.open_masks) == want
         yield ok, None if ok else {"set": c1.to_literal(), "set2": c2.to_literal()}
 
 

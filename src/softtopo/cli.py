@@ -41,7 +41,7 @@ from .explorer import (
 from . import claims as claims_mod
 from .maps import classify_map, parse_function
 from .semi import classify_set, sscl, ssint
-from .topology import SoftTopology, check_topology, load_space, parse_space
+from .topology import SoftTopology, check_topology, load_space, parse_space, parse_space_fields
 from .version import TOOL
 
 _CATEGORY = (
@@ -116,14 +116,7 @@ def _cmd_validate(args, out: list[str]) -> int:
             obj = builtin.to_obj()
         else:
             obj = _read_json_arg("@" + args.space, "space")
-    if not isinstance(obj, dict) or "signature" not in obj or "opens" not in obj:
-        raise LiteralError("space needs 'signature' and 'opens'")
-    from .core import parse_signature
-
-    sig = parse_signature(obj["signature"])
-    if not isinstance(obj["opens"], (list, tuple)):
-        raise LiteralError("'opens' must be a list of soft set literals")
-    opens = [parse_set_literal(sig, lit) for lit in obj["opens"]]
+    sig, opens = parse_space_fields(obj)
     violation = check_topology(sig, opens)
     if args.format == "json":
         rec = {

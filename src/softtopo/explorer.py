@@ -129,7 +129,7 @@ def enumerate_topologies(sig: SpaceSignature) -> Iterator[SoftTopology]:
     from . import kernels
 
     for members in kernels.enumerate_topology_families(bits):
-        yield SoftTopology(sig, (SoftSet(sig, m) for m in members))
+        yield SoftTopology._from_masks(sig, members)
 
 
 def random_topology(sig: SpaceSignature, seed: int, density: float) -> SoftTopology:

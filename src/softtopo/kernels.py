@@ -2,11 +2,13 @@
 
 Every function here treats soft sets as int masks inside a fixed lattice;
 `full` is the mask of the space's absolute set (the whole lattice for a
-plain space, the carrier for a subspace) and `opens` is a list of masks,
-each a submask of `full`.
+plain space, the carrier for a subspace) and `opens` is a sequence of
+masks, each a submask of `full`.
 
-Only fast paths live here. The definitional witness-search oracles stay
-in softtopo.semi so that the two routes share no code.
+Only fast paths live here. The per-set route is `interior_mask` and
+`closure_mask`, which softtopo.semi composes into the semi operators. The
+definitional witness-search oracles stay in softtopo.semi so that the two
+routes share no code.
 
 A public kernel never calls another public kernel through its module
 name: shared loops go through the private `_interior`/`_closure`. The
@@ -17,8 +19,10 @@ turn a single table scan into thousands of recorded kernel calls.
 
 from __future__ import annotations
 
+from typing import Sequence
 
-def _interior(g: int, opens: list[int]) -> int:
+
+def _interior(g: int, opens: Sequence[int]) -> int:
     acc = 0
     for o in opens:
         if o & ~g == 0:
@@ -26,7 +30,7 @@ def _interior(g: int, opens: list[int]) -> int:
     return acc
 
 
-def _closure(g: int, opens: list[int], full: int) -> int:
+def _closure(g: int, opens: Sequence[int], full: int) -> int:
     acc = full
     for o in opens:
         c = full ^ o
@@ -46,37 +50,17 @@ def submasks(full: int) -> list[int]:
         s = (s - full) & full
 
 
-def interior_mask(g: int, opens: list[int]) -> int:
+def interior_mask(g: int, opens: Sequence[int]) -> int:
     """Union of the open masks contained in g."""
     return _interior(g, opens)
 
 
-def closure_mask(g: int, opens: list[int], full: int) -> int:
+def closure_mask(g: int, opens: Sequence[int], full: int) -> int:
     """Intersection of the closed masks (complements of opens) containing g."""
     return _closure(g, opens, full)
 
 
-def is_semiopen_mask(g: int, opens: list[int], full: int) -> bool:
-    """Fast path: g is inside the closure of its interior."""
-    return g & ~_closure(_interior(g, opens), opens, full) == 0
-
-
-def is_semiclosed_mask(g: int, opens: list[int], full: int) -> bool:
-    """Fast path: the interior of the closure of g is inside g."""
-    return _interior(_closure(g, opens, full), opens) & ~g == 0
-
-
-def ssint_mask(g: int, opens: list[int], full: int) -> int:
-    """Fast path for the semi-interior: g ∩ closure(interior(g))."""
-    return g & _closure(_interior(g, opens), opens, full)
-
-
-def sscl_mask(g: int, opens: list[int], full: int) -> int:
-    """Fast path for the semi-closure: g ∪ interior(closure(g))."""
-    return g | _interior(_closure(g, opens, full), opens)
-
-
-def semiopen_masks(opens: list[int], full: int) -> list[int]:
+def semiopen_masks(opens: Sequence[int], full: int) -> list[int]:
     """All semiopen masks of the lattice under `full`, ascending."""
     out = []
     s = 0
@@ -88,7 +72,7 @@ def semiopen_masks(opens: list[int], full: int) -> list[int]:
         s = (s - full) & full
 
 
-def semiclosed_masks(opens: list[int], full: int) -> list[int]:
+def semiclosed_masks(opens: Sequence[int], full: int) -> list[int]:
     """All semiclosed masks of the lattice under `full`, ascending."""
     out = []
     s = 0
@@ -100,7 +84,7 @@ def semiclosed_masks(opens: list[int], full: int) -> list[int]:
         s = (s - full) & full
 
 
-def ssint_table(opens: list[int], full: int) -> dict[int, int]:
+def ssint_table(opens: Sequence[int], full: int) -> dict[int, int]:
     """Semi-interior of every submask of `full`."""
     table = {}
     s = 0
@@ -111,7 +95,7 @@ def ssint_table(opens: list[int], full: int) -> dict[int, int]:
         s = (s - full) & full
 
 
-def sscl_table(opens: list[int], full: int) -> dict[int, int]:
+def sscl_table(opens: Sequence[int], full: int) -> dict[int, int]:
     """Semi-closure of every submask of `full`."""
     table = {}
     s = 0

@@ -10,16 +10,15 @@ preserves unions and subsets only.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .core import SoftSet, SpaceSignature, make_absolute, parse_signature
+from .core import SoftSet, SpaceSignature
 from .errors import LiteralError, SignatureMismatch
 from .semi import tables
-from .topology import SoftTopology, parse_space
+from .topology import SoftTopology, load_space, parse_space
 
 
 @dataclass(frozen=True)
@@ -152,14 +151,14 @@ def classify_map(f: SoftFunction, t_src: SoftTopology, t_tgt: SoftTopology) -> M
 
     continuous = True
     semicontinuous = True
-    for o in t_tgt.opens:
-        pre = f.preimage_mask(o.mask)
-        if continuous and not t_src.is_open(SoftSet(f.source, pre)):
+    for o in t_tgt.open_masks:
+        pre = f.preimage_mask(o)
+        if continuous and pre not in t_src.open_mask_set:
             continuous = False
-            wit["continuous"] = o
+            wit["continuous"] = SoftSet(f.target, o)
         if semicontinuous and pre not in src_tab.soss_set:
             semicontinuous = False
-            wit["semicontinuous"] = o
+            wit["semicontinuous"] = SoftSet(f.target, o)
         if not continuous and not semicontinuous:
             break
 
@@ -171,17 +170,19 @@ def classify_map(f: SoftFunction, t_src: SoftTopology, t_tgt: SoftTopology) -> M
             break
 
     semiopen_map = True
-    for o in t_src.opens:
-        if f.image_mask(o.mask) not in tgt_tab.soss_set:
+    for o in t_src.open_masks:
+        if f.image_mask(o) not in tgt_tab.soss_set:
             semiopen_map = False
-            wit["semiopen_map"] = o
+            wit["semiopen_map"] = SoftSet(f.source, o)
             break
 
     semiclosed_map = True
-    for c in t_src.closed_sets():
-        if f.image_mask(c.mask) not in tgt_tab.scss_set:
+    # closed masks ascend as the opens they complement descend
+    for o in reversed(t_src.open_masks):
+        c = t_src.absolute.mask ^ o
+        if f.image_mask(c) not in tgt_tab.scss_set:
             semiclosed_map = False
-            wit["semiclosed_map"] = c
+            wit["semiclosed_map"] = SoftSet(f.source, c)
             break
 
     return MapClassification(continuous, semicontinuous, irresolute,
@@ -204,14 +205,7 @@ def parse_function(obj, base_dir: str = ".") -> tuple[SoftFunction, SoftTopology
 
     def space_of(ref):
         if isinstance(ref, str):
-            path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    return parse_space(json.load(fh))
-            except OSError as exc:
-                raise LiteralError(f"cannot read space file {path}: {exc}")
-            except json.JSONDecodeError as exc:
-                raise LiteralError(f"space file {path} is not valid JSON: {exc}")
+            return load_space(ref if os.path.isabs(ref) else os.path.join(base_dir, ref))
         return parse_space(ref)
 
     t_src = space_of(obj["source"])

@@ -85,7 +85,6 @@ class SemiTables:
 
     def __init__(self, t: SoftTopology):
         self.t = t
-        self.open_masks = t.open_masks()
         self.full = t.absolute.mask
 
     def _check_cap(self):
@@ -100,7 +99,7 @@ class SemiTables:
     @cached_property
     def soss_masks(self) -> list[int]:
         self._check_cap()
-        return kernels.semiopen_masks(self.open_masks, self.full)
+        return kernels.semiopen_masks(self.t.open_masks, self.full)
 
     @cached_property
     def soss_set(self) -> frozenset:
@@ -119,17 +118,17 @@ class SemiTables:
     def semiclosed_direct_masks(self) -> list[int]:
         """Semiclosed family by its own fast formula, not by complementing."""
         self._check_cap()
-        return kernels.semiclosed_masks(self.open_masks, self.full)
+        return kernels.semiclosed_masks(self.t.open_masks, self.full)
 
     @cached_property
     def ssint(self) -> dict[int, int]:
         self._check_cap()
-        return kernels.ssint_table(self.open_masks, self.full)
+        return kernels.ssint_table(self.t.open_masks, self.full)
 
     @cached_property
     def sscl(self) -> dict[int, int]:
         self._check_cap()
-        return kernels.sscl_table(self.open_masks, self.full)
+        return kernels.sscl_table(self.t.open_masks, self.full)
 
     # oracle route
 
@@ -137,7 +136,8 @@ class SemiTables:
     def oracle_soss_masks(self) -> list[int]:
         self._check_cap()
         # closures of the witness candidates once up front, then a plain scan
-        cl = [(h, _naive_closure(h, self.open_masks, self.full)) for h in self.open_masks]
+        opens = self.t.open_masks
+        cl = [(h, _naive_closure(h, opens, self.full)) for h in opens]
         out = []
         s = 0
         while True:
@@ -150,8 +150,9 @@ class SemiTables:
     @cached_property
     def oracle_scss_masks(self) -> list[int]:
         self._check_cap()
-        closed = sorted(self.full ^ o for o in self.open_masks)
-        ik = [(k, _naive_interior(k, self.open_masks)) for k in closed]
+        opens = self.t.open_masks
+        closed = sorted(self.full ^ o for o in opens)
+        ik = [(k, _naive_interior(k, opens)) for k in closed]
         out = []
         s = 0
         while True:
@@ -176,30 +177,32 @@ def tables(t: SoftTopology) -> SemiTables:
 def is_semiopen(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
     """Fast path; the witness (when true) is the set's interior."""
     t._inside(g)
-    if kernels.is_semiopen_mask(g.mask, t.open_masks(), t.absolute.mask):
-        return True, t.interior(g)
-    return False, None
+    i = kernels.interior_mask(g.mask, t.open_masks)
+    if g.mask & ~kernels.closure_mask(i, t.open_masks, t.absolute.mask):
+        return False, None
+    return True, SoftSet(t.signature, i)
 
 
 def is_semiclosed(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
     """Fast path; the witness (when true) is the set's closure."""
     t._inside(g)
-    if kernels.is_semiclosed_mask(g.mask, t.open_masks(), t.absolute.mask):
-        return True, t.closure(g)
-    return False, None
+    c = kernels.closure_mask(g.mask, t.open_masks, t.absolute.mask)
+    if kernels.interior_mask(c, t.open_masks) & ~g.mask:
+        return False, None
+    return True, SoftSet(t.signature, c)
 
 
 def is_semiopen_definitional(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
     """Oracle: scan the opens for a witness under the set."""
     t._inside(g)
-    h = _semiopen_witness_mask(g.mask, t.open_masks(), t.absolute.mask)
+    h = _semiopen_witness_mask(g.mask, t.open_masks, t.absolute.mask)
     return (False, None) if h is None else (True, SoftSet(t.signature, h))
 
 
 def is_semiclosed_definitional(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
     """Oracle: scan the closed sets for a witness over the set."""
     t._inside(g)
-    k = _semiclosed_witness_mask(g.mask, t.open_masks(), t.absolute.mask)
+    k = _semiclosed_witness_mask(g.mask, t.open_masks, t.absolute.mask)
     return (False, None) if k is None else (True, SoftSet(t.signature, k))
 
 
@@ -224,13 +227,15 @@ def scss_definitional(t: SoftTopology) -> tuple[SoftSet, ...]:
 def ssint(t: SoftTopology, g: SoftSet) -> SoftSet:
     """Largest semiopen set inside g (fast path, no lattice scan)."""
     t._inside(g)
-    return SoftSet(t.signature, kernels.ssint_mask(g.mask, t.open_masks(), t.absolute.mask))
+    i = kernels.interior_mask(g.mask, t.open_masks)
+    return SoftSet(t.signature, g.mask & kernels.closure_mask(i, t.open_masks, t.absolute.mask))
 
 
 def sscl(t: SoftTopology, g: SoftSet) -> SoftSet:
     """Smallest semiclosed set containing g (fast path, no lattice scan)."""
     t._inside(g)
-    return SoftSet(t.signature, kernels.sscl_mask(g.mask, t.open_masks(), t.absolute.mask))
+    c = kernels.closure_mask(g.mask, t.open_masks, t.absolute.mask)
+    return SoftSet(t.signature, g.mask | kernels.interior_mask(c, t.open_masks))
 
 
 def ssint_definitional(t: SoftTopology, g: SoftSet) -> SoftSet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from . import kernels
 from .core import (
@@ -19,7 +19,6 @@ from .core import (
     SpaceSignature,
     bit_cap,
     make_absolute,
-    make_null,
     parse_set_literal,
     parse_signature,
 )
@@ -54,37 +53,60 @@ class AxiomViolation:
 class SoftTopology:
     """Immutable open family; construct via validate_topology or the factories."""
 
-    __slots__ = ("signature", "absolute", "opens", "_mask_set", "_cache")
+    __slots__ = ("signature", "absolute", "open_masks", "open_mask_set", "_cache")
 
     def __init__(self, signature: SpaceSignature, opens: Iterable[SoftSet],
                  absolute: SoftSet | None = None):
-        absolute = make_absolute(signature) if absolute is None else absolute
-        if absolute.signature != signature:
-            raise SignatureMismatch("absolute set bound to a different signature")
-        seen: dict[int, SoftSet] = {}
+        masks = []
         for o in opens:
             if o.signature != signature:
                 raise SignatureMismatch("open set bound to a different signature")
-            if o.mask & ~absolute.mask:
-                raise InvalidTopology(AxiomViolation("carrier", (o,)))
-            seen[o.mask] = o
-        ordered = tuple(seen[m] for m in sorted(seen))
+            masks.append(o.mask)
+        self._init(signature, masks, absolute)
+
+    @classmethod
+    def _from_masks(cls, signature: SpaceSignature, masks: Collection[int],
+                    absolute: SoftSet | None = None) -> "SoftTopology":
+        """The factories' route: open masks in, no SoftSet per member."""
+        t = cls.__new__(cls)
+        t._init(signature, masks, absolute)
+        return t
+
+    def _init(self, signature: SpaceSignature, masks: Collection[int],
+              absolute: SoftSet | None) -> None:
+        absolute = make_absolute(signature) if absolute is None else absolute
+        if absolute.signature != signature:
+            raise SignatureMismatch("absolute set bound to a different signature")
+        outside = ~absolute.mask
+        for m in masks:
+            if m & outside:
+                raise InvalidTopology(AxiomViolation("carrier", (SoftSet(signature, m),)))
         self.signature = signature
         self.absolute = absolute
-        self.opens = ordered
-        self._mask_set = frozenset(seen)
-        # memos that live and die with this object: encoding, semi tables
+        self.open_mask_set = frozenset(masks)
+        self.open_masks = tuple(sorted(self.open_mask_set))
+        # memos that live and die with this object: the opens view, encoding,
+        # semi tables. The per-set fast route is kernels.interior_mask and
+        # closure_mask over open_masks; a minimal-neighbourhood kernel would
+        # replace those two.
         self._cache: dict = {}
 
-    # -- identity ----------------------------------------------------------
+    @property
+    def opens(self) -> tuple[SoftSet, ...]:
+        """The open family as soft sets, ascending; built on first use."""
+        opens = self._cache.get("opens")
+        if opens is None:
+            sig = self.signature
+            opens = self._cache["opens"] = tuple(SoftSet(sig, m) for m in self.open_masks)
+        return opens
 
-    def open_masks(self) -> list[int]:
-        return [o.mask for o in self.opens]
+    # -- identity ----------------------------------------------------------
 
     def encoding(self) -> str:
         enc = self._cache.get("encoding")
         if enc is None:
-            parts = [self.signature.key(), ",".join(o.encoding() for o in self.opens)]
+            spec = f"0{self.signature.bits}b"
+            parts = [self.signature.key(), ",".join(format(m, spec) for m in self.open_masks)]
             if not self.absolute.is_absolute:
                 parts.append(f"abs={self.absolute.encoding()}")
             enc = self._cache["encoding"] = "::".join(parts)
@@ -97,7 +119,7 @@ class SoftTopology:
         return hash(self.encoding())
 
     def __repr__(self):
-        return f"SoftTopology({self.signature.n}x{self.signature.m}, {len(self.opens)} opens)"
+        return f"SoftTopology({self.signature.n}x{self.signature.m}, {len(self.open_masks)} opens)"
 
     # -- membership and complements ----------------------------------------
 
@@ -109,26 +131,27 @@ class SoftTopology:
         return g
 
     def is_open(self, g: SoftSet) -> bool:
-        return self._inside(g).mask in self._mask_set
+        return self._inside(g).mask in self.open_mask_set
 
     def relative_complement(self, g: SoftSet) -> SoftSet:
         return SoftSet(self.signature, self.absolute.mask ^ self._inside(g).mask)
 
     def closed_sets(self) -> tuple[SoftSet, ...]:
-        masks = sorted(self.absolute.mask ^ o.mask for o in self.opens)
-        return tuple(SoftSet(self.signature, m) for m in masks)
+        # complements of ascending submasks of the absolute descend
+        full = self.absolute.mask
+        return tuple(SoftSet(self.signature, full ^ m) for m in reversed(self.open_masks))
 
     def is_closed(self, g: SoftSet) -> bool:
-        return (self.absolute.mask ^ self._inside(g).mask) in self._mask_set
+        return (self.absolute.mask ^ self._inside(g).mask) in self.open_mask_set
 
     # -- interior / closure --------------------------------------------------
 
     def interior(self, g: SoftSet) -> SoftSet:
-        m = kernels.interior_mask(self._inside(g).mask, self.open_masks())
+        m = kernels.interior_mask(self._inside(g).mask, self.open_masks)
         return SoftSet(self.signature, m)
 
     def closure(self, g: SoftSet) -> SoftSet:
-        m = kernels.closure_mask(self._inside(g).mask, self.open_masks(), self.absolute.mask)
+        m = kernels.closure_mask(self._inside(g).mask, self.open_masks, self.absolute.mask)
         return SoftSet(self.signature, m)
 
     def lattice(self) -> Iterator[SoftSet]:
@@ -139,9 +162,10 @@ class SoftTopology:
     def to_obj(self) -> dict:
         if not self.absolute.is_absolute:
             raise LiteralError("only whole spaces have a file form; export the base space")
+        sig = self.signature
         return {
-            "signature": self.signature.to_obj(),
-            "opens": [o.to_literal() for o in self.opens],
+            "signature": sig.to_obj(),
+            "opens": [SoftSet(sig, m).to_literal() for m in self.open_masks],
         }
 
 
@@ -173,14 +197,14 @@ def validate_topology(sig: SpaceSignature, opens: Iterable[SoftSet],
 
 
 def indiscrete(sig: SpaceSignature) -> SoftTopology:
-    return SoftTopology(sig, (make_null(sig), make_absolute(sig)))
+    return SoftTopology._from_masks(sig, (0, sig.full_mask))
 
 
 def discrete(sig: SpaceSignature, cap: int | None = None) -> SoftTopology:
     cap = bit_cap() if cap is None else cap
     if sig.bits > cap:
         raise BitCapExceeded(f"discrete space on {sig.bits} bits exceeds the {cap}-bit cap")
-    return SoftTopology(sig, (SoftSet(sig, m) for m in range(1 << sig.bits)))
+    return SoftTopology._from_masks(sig, range(1 << sig.bits))
 
 
 def from_subbasis(sig: SpaceSignature, seeds: Iterable[SoftSet],
@@ -216,7 +240,7 @@ def from_subbasis(sig: SpaceSignature, seeds: Iterable[SoftSet],
                 f"generated family exceeds 2^{cap} members; raise SOFTTOPO_BITCAP to allow"
             )
         pending = sorted(fresh)
-    return SoftTopology(sig, (SoftSet(sig, m) for m in sorted(family)))
+    return SoftTopology._from_masks(sig, family)
 
 
 def subspace(t: SoftTopology, carrier: SoftSet) -> SoftTopology:
@@ -224,8 +248,8 @@ def subspace(t: SoftTopology, carrier: SoftSet) -> SoftTopology:
     if carrier.signature != t.signature:
         raise SignatureMismatch("carrier bound to a different signature")
     absolute = t.absolute & carrier
-    opens = {o.mask & absolute.mask for o in t.opens}
-    return SoftTopology(t.signature, (SoftSet(t.signature, m) for m in sorted(opens)), absolute)
+    opens = {o & absolute.mask for o in t.open_masks}
+    return SoftTopology._from_masks(t.signature, opens, absolute)
 
 
 def is_basis(t: SoftTopology, basis: Iterable[SoftSet]) -> bool:
@@ -235,12 +259,12 @@ def is_basis(t: SoftTopology, basis: Iterable[SoftSet]) -> bool:
         if not t.is_open(b):
             raise LiteralError("basis candidate contains a non-open set")
         bmasks.append(b.mask)
-    for o in t.opens:
+    for o in t.open_masks:
         acc = 0
         for bm in bmasks:
-            if bm & ~o.mask == 0:
+            if bm & ~o == 0:
                 acc |= bm
-        if acc != o.mask:
+        if acc != o:
             return False
     return True
 
@@ -248,8 +272,8 @@ def is_basis(t: SoftTopology, basis: Iterable[SoftSet]) -> bool:
 # -- space files -------------------------------------------------------------
 
 
-def parse_space(obj) -> SoftTopology:
-    """Parse {"signature": {...}, "opens": [...]} and validate the axioms."""
+def parse_space_fields(obj) -> tuple[SpaceSignature, tuple[SoftSet, ...]]:
+    """Signature and open literals of {"signature": {...}, "opens": [...]}, unvalidated."""
     if not isinstance(obj, Mapping):
         raise LiteralError("space must be an object")
     extra = set(obj) - {"signature", "opens"}
@@ -260,8 +284,12 @@ def parse_space(obj) -> SoftTopology:
     sig = parse_signature(obj["signature"])
     if not isinstance(obj["opens"], (list, tuple)):
         raise LiteralError("'opens' must be a list of soft set literals")
-    opens = tuple(parse_set_literal(sig, lit) for lit in obj["opens"])
-    return validate_topology(sig, opens)
+    return sig, tuple(parse_set_literal(sig, lit) for lit in obj["opens"])
+
+
+def parse_space(obj) -> SoftTopology:
+    """Parse {"signature": {...}, "opens": [...]} and validate the axioms."""
+    return validate_topology(*parse_space_fields(obj))
 
 
 def load_space(path: str) -> SoftTopology:

@@ -5,9 +5,11 @@ from softtopo import (
     SoftSet,
     SoftTopology,
     discrete,
+    enumerate_topologies,
     indiscrete,
     parse_signature,
 )
+from softtopo.explorer import auto_signature
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -24,6 +26,14 @@ def example_topology() -> SoftTopology:
     return SoftTopology(
         SIG32, [SoftSet(SIG32, 0), f1, SoftSet(SIG32, SIG32.full_mask)]
     )
+
+
+def small_topologies() -> list[SoftTopology]:
+    """The example space, then every topology of up to 3 lattice bits (67 spaces)."""
+    sigs = ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3))
+    return [example_topology()] + [
+        t for n, m in sigs for t in enumerate_topologies(auto_signature(n, m))
+    ]
 
 
 @pytest.fixture(scope="session")

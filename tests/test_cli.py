@@ -53,6 +53,21 @@ def test_validate_rejects_broken_family(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_validate_parses_spaces_like_every_command(capsys):
+    space = {"signature": {"universe": ["h1"], "parameters": ["e1"]},
+             "opens": [{}, {"e1": ["h1"]}, {"e1": ["h1"]}], "junk": 1}
+    literal = json.dumps(space)
+    for argv in (["validate", literal], ["classify", literal, "--set", "{}"]):
+        code, out, err = run(capsys, argv + ["--no-banner"])
+        assert code == 2 and out == ""
+        assert err == "error: literal: unknown space fields: ['junk']\n"
+    del space["junk"]
+    code, out, _ = run(capsys, ["validate", json.dumps(space), "--no-banner"])
+    assert code == 0
+    # the opens are counted as given, the repeated literal included
+    assert "opens=3" in out.splitlines()
+
+
 def test_missing_space_file(capsys):
     code, _, err = run(capsys, ["validate", "/nope/missing.json", "--no-banner"])
     assert code == 2
@@ -145,6 +160,22 @@ def test_map_check(tmp_path, capsys):
     for flag in ("continuous", "semicontinuous", "irresolute", "semiopen_map", "semiclosed_map"):
         assert f"{flag}=true" in lines
     assert "surjective=true" in lines
+
+
+def test_map_check_missing_sibling_space_file(tmp_path, capsys):
+    fn = {
+        "source": "gone.json",
+        "target": "gone.json",
+        "point_map": {"h1": "h1"},
+        "param_map": {"e1": "e1"},
+    }
+    fn_path = tmp_path / "fn.json"
+    fn_path.write_text(json.dumps(fn))
+    code, out, err = run(capsys, ["map-check", f"@{fn_path}", "--no-banner"])
+    assert code == 2 and out == ""
+    missing = os.path.join(str(tmp_path), "gone.json")
+    assert err.startswith(f"error: literal: cannot read space file {missing}: ")
+    assert err.count("\n") == 1
 
 
 def test_gen_exhaustive(tmp_path, capsys):

@@ -19,9 +19,10 @@ from softtopo import (
     sscl_definitional,
     ssint,
     ssint_definitional,
+    union,
 )
 
-from .conftest import SIG21, SIG32
+from .conftest import SIG21, SIG32, small_topologies
 
 # the one non-open semiopen witness family in the three-open space:
 # null plus every superset of the generator
@@ -127,12 +128,30 @@ def test_sscl_of_g0_is_absolute(example_space, g0):
     assert sscl_definitional(example_space, g0) == make_absolute(SIG32)
 
 
-def test_semi_operators_agree_on_whole_lattice(example_space):
-    for g in enumerate_soft_sets(SIG32):
-        assert ssint(example_space, g) == ssint_definitional(example_space, g)
-        assert sscl(example_space, g) == sscl_definitional(example_space, g)
-        assert is_semiopen(example_space, g)[0] == is_semiopen_definitional(example_space, g)[0]
-        assert is_semiclosed(example_space, g)[0] == is_semiclosed_definitional(example_space, g)[0]
+def test_semi_operators_agree_on_whole_lattice():
+    # the example space and every topology of up to 3 bits, every set of each
+    for t in small_topologies():
+        sig, full = t.signature, t.absolute.mask
+        for g in t.lattice():
+            want_int = union(sig, (o for o in t.opens if o <= g))
+            outside = union(sig, (o for o in t.opens if not o.mask & g.mask))
+            want_cl = SoftSet(sig, full ^ outside.mask)
+            assert t.interior(g) == want_int
+            assert t.closure(g) == want_cl
+            assert ssint(t, g) == ssint_definitional(t, g)
+            assert sscl(t, g) == sscl_definitional(t, g)
+            so, so_wit = is_semiopen_definitional(t, g)
+            sc, sc_wit = is_semiclosed_definitional(t, g)
+            assert so_wit is None or so_wit <= g <= t.closure(so_wit)
+            assert sc_wit is None or t.interior(sc_wit) <= g <= sc_wit
+            c = classify_set(t, g)
+            assert (c.is_open, c.is_closed) == (g in t.opens, ~g in t.opens)
+            assert (c.is_semiopen, c.is_semiclosed) == (so, sc)
+            # the fast witnesses are the set's own interior and closure
+            assert c.semiopen_witness == (want_int if so else None)
+            assert c.semiclosed_witness == (want_cl if sc else None)
+            assert is_semiopen(t, g) == (so, c.semiopen_witness)
+            assert is_semiclosed(t, g) == (sc, c.semiclosed_witness)
 
 
 def test_semi_fixpoints(example_space):

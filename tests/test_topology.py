@@ -21,7 +21,7 @@ from softtopo import (
     validate_topology,
 )
 
-from .conftest import SIG21, SIG32
+from .conftest import SIG21, SIG32, small_topologies
 
 SIG31 = parse_signature({"universe": ["h1", "h2", "h3"], "parameters": ["e1"]})
 
@@ -78,6 +78,24 @@ def test_closure_in_indiscrete_space():
     t = indiscrete(SIG21)
     g = SoftSet.from_rows(SIG21, {"e1": ["h1"]})
     assert t.closure(g) == make_absolute(SIG21)
+
+
+def test_open_family_representation():
+    # each whole space and one subspace of it, so the abs= part is covered too
+    for base in small_topologies():
+        carrier = SoftSet(base.signature, base.signature.full_mask >> 1)
+        for t in (base, subspace(base, carrier)):
+            assert list(t.open_masks) == sorted(t.open_masks)
+            assert t.open_mask_set == set(t.open_masks)
+            assert [o.mask for o in t.opens] == list(t.open_masks)
+            assert t.opens is t.opens
+            parts = [t.signature.key(), ",".join(o.encoding() for o in t.opens)]
+            if not t.absolute.is_absolute:
+                parts.append(f"abs={t.absolute.encoding()}")
+            assert t.encoding() == "::".join(parts)
+            assert [c.mask for c in t.closed_sets()] == sorted(
+                t.absolute.mask ^ o for o in t.open_masks
+            )
 
 
 def test_closed_sets_are_open_complements(example_space):
