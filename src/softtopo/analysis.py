@@ -200,6 +200,15 @@ def _set_lit(t: SoftTopology, mask: int) -> dict:
     return SoftSet(t.signature, mask).to_literal()
 
 
+# semi_T3 and semi_T4 are a base property plus semi_T1
+_COMPOSED = {"semi_T3": "semiregular", "semi_T4": "seminormal"}
+
+
+def _composed(axiom: str, base: AxiomCheck, t1: AxiomCheck) -> AxiomCheck:
+    """The composed axiom's check; witnesses list the base's first."""
+    return AxiomCheck(axiom, base.holds and t1.holds, base.witnesses + t1.witnesses)
+
+
 def check_axiom(t: SoftTopology, axiom: str, all_witnesses: bool = False) -> AxiomCheck:
     """Decide one separation/connectedness/compactness property.
 
@@ -209,6 +218,9 @@ def check_axiom(t: SoftTopology, axiom: str, all_witnesses: bool = False) -> Axi
     """
     if axiom not in AXIOM_NAMES:
         raise LiteralError(f"unknown axiom: {axiom!r}")
+    if axiom in _COMPOSED:
+        return _composed(axiom, check_axiom(t, _COMPOSED[axiom], all_witnesses),
+                         check_axiom(t, "semi_T1", all_witnesses))
     tab = tables(t)
     full = t.absolute.mask
     ssint_t = tab.ssint
@@ -260,11 +272,6 @@ def check_axiom(t: SoftTopology, axiom: str, all_witnesses: bool = False) -> Axi
                         return done()
         return done()
 
-    if axiom == "semi_T3":
-        reg = check_axiom(t, "semiregular", all_witnesses)
-        t1 = check_axiom(t, "semi_T1", all_witnesses)
-        return AxiomCheck(axiom, reg.holds and t1.holds, reg.witnesses + t1.witnesses)
-
     if axiom == "seminormal":
         scss = tab.scss_masks
         for a in range(len(scss)):
@@ -277,11 +284,6 @@ def check_axiom(t: SoftTopology, axiom: str, all_witnesses: bool = False) -> Axi
                     if not all_witnesses:
                         return done()
         return done()
-
-    if axiom == "semi_T4":
-        nor = check_axiom(t, "seminormal", all_witnesses)
-        t1 = check_axiom(t, "semi_T1", all_witnesses)
-        return AxiomCheck(axiom, nor.holds and t1.holds, nor.witnesses + t1.witnesses)
 
     if axiom == "semiconnected":
         pair = find_semiseparation(t)
@@ -296,8 +298,12 @@ def check_axiom(t: SoftTopology, axiom: str, all_witnesses: bool = False) -> Axi
 
 
 def axiom_report(t: SoftTopology, all_witnesses: bool = False) -> AxiomReport:
-    checks = tuple(check_axiom(t, name, all_witnesses) for name in AXIOM_NAMES)
-    rep = AxiomReport(checks)
+    done: dict[str, AxiomCheck] = {}
+    for name in AXIOM_NAMES:  # each base axiom precedes the axioms composed from it
+        base = _COMPOSED.get(name)
+        done[name] = (check_axiom(t, name, all_witnesses) if base is None
+                      else _composed(name, done[base], done["semi_T1"]))
+    rep = AxiomReport(tuple(done.values()))
     chain = ("semi_T4", "semi_T3", "semi_T2", "semi_T1", "semi_T0")
     for hi, lo in zip(chain, chain[1:]):
         if rep.flag(hi) and not rep.flag(lo):

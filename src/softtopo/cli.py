@@ -277,7 +277,7 @@ def _cmd_gen(args, out: list[str]) -> int:
             seed=args.seed if args.seed is not None else 0,
             density=args.density if args.density is not None else 0.3,
         )
-    corpus = build_corpus(spec, jobs=args.jobs)
+    corpus = build_corpus(spec)
     fp = export_corpus(corpus, args.output)
     if args.format == "json":
         out.append(json.dumps(
@@ -357,8 +357,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--density", type=float, default=None)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (at least 1, capped at the CPU count)")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(fn=_cmd_gen)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BitCapExceeded, LiteralError, SignatureMismatch
 
@@ -43,11 +43,11 @@ def bit_cap() -> int:
 def _check_labels(kind: str, labels: tuple[str, ...]) -> None:
     if not labels:
         raise LiteralError(f"{kind} list must be nonempty")
-    if len(set(labels)) != len(labels):
-        raise LiteralError(f"{kind} labels must be unique")
     for lab in labels:
         if not isinstance(lab, str) or not lab:
             raise LiteralError(f"{kind} labels must be nonempty strings")
+    if len(set(labels)) != len(labels):
+        raise LiteralError(f"{kind} labels must be unique")
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,13 @@ class SpaceSignature:
     def elem_index(self, label: str) -> int:
         try:
             return self._elem_index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise LiteralError(f"unknown universe element {label!r}")
 
     def param_index(self, label: str) -> int:
         try:
             return self._param_index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise LiteralError(f"unknown parameter {label!r}")
 
     def cell_bit(self, param_i: int, elem_j: int) -> int:
@@ -145,14 +145,16 @@ class SoftSet:
             raise LiteralError(f"mask {self.mask} out of range for {self.signature.bits} bits")
 
     @classmethod
-    def from_rows(cls, sig: SpaceSignature, rows: Mapping[str, Iterable[str]]) -> "SoftSet":
-        """Build from {parameter: elements}; omitted parameters get the empty value."""
+    def from_rows(cls, sig: SpaceSignature, rows: Mapping[str, Sequence[str]]) -> "SoftSet":
+        """Build from {parameter: [elements]}; omitted parameters get the empty value."""
         mask = 0
         for param, elems in rows.items():
             i = sig.param_index(param)
-            if isinstance(elems, str) or not hasattr(elems, "__iter__"):
+            if not isinstance(elems, (list, tuple)):
                 raise LiteralError(f"value of {param!r} must be a list of elements")
             for e in elems:
+                if not isinstance(e, str):
+                    raise LiteralError(f"elements of {param!r} must be strings, got {e!r}")
                 mask |= sig.cell_bit(i, sig.elem_index(e))
         return cls(sig, mask)
 

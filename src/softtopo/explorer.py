@@ -2,7 +2,7 @@
 
 A corpus is an ordered list of whole spaces plus the CorpusSpec that produced it.
 Its fingerprint is a hash over the sorted canonical encodings, so identical
-specs yield identical fingerprints no matter how the work was sharded.
+specs yield identical fingerprints.
 
 The suite runner evaluates every selected claim on every instance (spaces,
 plus function triples derived deterministically from the corpus), merges
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import claims as claims_mod
+from . import kernels
 from .claims import (
     BUILTIN_SPACES,
     REGISTRY,
@@ -35,7 +36,7 @@ from .core import SoftSet, SpaceSignature, bit_cap
 from .errors import BitCapExceeded, CorpusError, InternalAssertionError, LiteralError
 from .maps import SoftFunction
 from .prng import SplitMix64, derive_seed
-from .topology import SoftTopology, load_space, save_space
+from .topology import SoftTopology, from_subbasis, load_space, save_space
 from .version import TOOL
 
 WITNESS_CAP = 24
@@ -119,15 +120,11 @@ def enumerate_topologies(sig: SpaceSignature) -> Iterator[SoftTopology]:
     is by the candidate's membership bitmap over ascending masks, so the
     indiscrete family comes first and the discrete family last.
     """
-    if isinstance(sig, CorpusSpec):
-        sig = sig.signature()
     bits = sig.bits
     if bits > EXHAUSTIVE_BIT_LIMIT:
         raise BitCapExceeded(
             f"exhaustive enumeration stops at {EXHAUSTIVE_BIT_LIMIT} lattice bits, got {bits}"
         )
-    from . import kernels
-
     for members in kernels.enumerate_topology_families(bits):
         yield SoftTopology._from_masks(sig, members)
 
@@ -142,8 +139,6 @@ def random_topology(sig: SpaceSignature, seed: int, density: float) -> SoftTopol
     want = math.ceil(density * lattice)
     rng = SplitMix64(derive_seed("random-topology", sig.key(), seed, repr(float(density))))
     picks = rng.sample_distinct(want, lattice)
-    from .topology import from_subbasis
-
     return from_subbasis(sig, [SoftSet(sig, m) for m in picks])
 
 
@@ -169,11 +164,6 @@ def _instance_seed(spec: CorpusSpec, index: int) -> int:
     return derive_seed("corpus-instance", spec.seed, index)
 
 
-def _gen_one(args: tuple) -> SoftTopology:
-    spec, index = args
-    return random_topology(spec.signature(), _instance_seed(spec, index), spec.density)
-
-
 def worker_count(jobs: int) -> int:
     """Validated worker count: below 1 is an error, above the CPU count is clamped."""
     if jobs < 1:
@@ -181,18 +171,14 @@ def worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def build_corpus(spec: CorpusSpec, jobs: int = 1) -> Corpus:
+def build_corpus(spec: CorpusSpec) -> Corpus:
     """Materialize a CorpusSpec; index order is part of the corpus identity."""
-    jobs = worker_count(jobs)
+    sig = spec.signature()
     if spec.mode == "exhaustive":
-        return Corpus(list(enumerate_topologies(spec.signature())), spec)
-    # spaces come back live (pickled from workers); only imported files are re-validated
-    args = [(spec, i) for i in range(spec.count)]
-    if jobs > 1 and spec.count > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            spaces = list(pool.map(_gen_one, args, chunksize=max(1, spec.count // (jobs * 4))))
-    else:
-        spaces = [_gen_one(a) for a in args]
+        return Corpus(list(enumerate_topologies(sig)), spec)
+    # spaces stay live; only imported files are re-validated
+    spaces = [random_topology(sig, _instance_seed(spec, i), spec.density)
+              for i in range(spec.count)]
     return Corpus(spaces, spec)
 
 

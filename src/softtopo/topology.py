@@ -211,35 +211,28 @@ def from_subbasis(sig: SpaceSignature, seeds: Iterable[SoftSet],
                   cap: int | None = None) -> SoftTopology:
     """Smallest topology containing the seeds.
 
-    Closes under pairwise union and intersection to a fixpoint (which on a
-    finite lattice is closure under arbitrary unions) after adding the null
-    and absolute sets. The family may not exceed 2**cap members.
+    On a finite lattice that topology is every union of the minimal open
+    neighbourhoods N(x), one per cell: the intersection of the absolute
+    set and every seed holding x. The family may not exceed 2**cap
+    members; every partial union family is a subset of the final one, so
+    the check can stop as soon as one outgrows the cap.
     """
     cap = bit_cap() if cap is None else cap
     limit = 1 << cap
-    family = {0, sig.full_mask}
+    nbhds = [sig.full_mask] * sig.bits
     for s in seeds:
         if s.signature != sig:
             raise SignatureMismatch("seed set bound to a different signature")
-        family.add(s.mask)
-    pending = sorted(family)
-    while pending:
-        fresh: set[int] = set()
-        members = sorted(family)
-        for x in pending:
-            for y in members:
-                u = x | y
-                if u not in family:
-                    fresh.add(u)
-                w = x & y
-                if w not in family:
-                    fresh.add(w)
-        family |= fresh
+        for x in range(sig.bits):
+            if s.mask >> x & 1:
+                nbhds[x] &= s.mask
+    family = {0}
+    for nb in set(nbhds):
+        family |= {f | nb for f in family}
         if len(family) > limit:
             raise BitCapExceeded(
                 f"generated family exceeds 2^{cap} members; raise SOFTTOPO_BITCAP to allow"
             )
-        pending = sorted(fresh)
     return SoftTopology._from_masks(sig, family)
 
 

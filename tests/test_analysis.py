@@ -21,7 +21,7 @@ from softtopo import (
     subspace,
 )
 
-from .conftest import SIG21, SIG32
+from .conftest import SIG21, SIG32, small_topologies
 
 
 def test_axiom_names_are_stable():
@@ -70,6 +70,26 @@ def test_axiom_chain_consistency(example_space, discrete21, indiscrete21):
             assert rep.flag("semi_T2")
         if rep.flag("semi_T4"):
             assert rep.flag("semi_T3")
+
+
+def test_axiom_report_checks_each_axiom_once(monkeypatch):
+    from softtopo import analysis
+
+    cases = [(t, w) for t in small_topologies() for w in (False, True)]
+    # semi_T3/semi_T4 in a report equal their standalone checks, witness order included
+    expected = [tuple(check_axiom(t, name, w) for name in AXIOM_NAMES) for t, w in cases]
+    real = analysis.check_axiom
+    calls = []
+
+    def counting(t, axiom, all_witnesses=False):
+        calls.append(axiom)
+        return real(t, axiom, all_witnesses)
+
+    monkeypatch.setattr(analysis, "check_axiom", counting)
+    for (t, w), checks in zip(cases, expected):
+        calls.clear()
+        assert axiom_report(t, w).checks == checks
+        assert calls == [name for name in AXIOM_NAMES if name not in ("semi_T3", "semi_T4")]
 
 
 def test_all_witnesses_mode(indiscrete21):

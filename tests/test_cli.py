@@ -342,13 +342,28 @@ def test_bad_inline_literal(capsys):
     assert err.startswith("error: literal:")
 
 
-def test_jobs_below_one_is_refused(tmp_path, capsys):
-    out_dir = str(tmp_path / "c")
-    code, _, err = run(capsys, ["gen", "--universe", "2", "--params", "1", "--exhaustive",
-                                "--jobs", "0", "-o", out_dir, "--no-banner"])
-    assert code == 2
-    assert err.startswith("error: literal: jobs must be at least 1")
-    assert not os.path.exists(out_dir)
+def test_jobs_below_one_is_refused(capsys):
     code, _, err = run(capsys, ["suite", "builtin:example", "--jobs", "0", "--no-banner"])
     assert code == 2
     assert err.startswith("error: literal: jobs must be at least 1")
+
+
+_ONE_CELL = '{"signature":{"universe":["h1"],"parameters":["e1"]},"opens":[{},{"e1":["h1"]}]}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", '{"signature":{"universe":[["a"]],"parameters":["e1"]},"opens":[]}'],
+     "universe labels must be nonempty strings"),
+    (["classify", "builtin:example", "--set", '{"e1":[["h1"]]}'],
+     "elements of 'e1' must be strings, got ['h1']"),
+    (["classify", "builtin:example", "--set", '{"e1":{"h1":1}}'],
+     "value of 'e1' must be a list of elements"),
+    (["map-check", f'{{"source":{_ONE_CELL},"target":{_ONE_CELL},'
+                   '"point_map":{"h1":["h1"]},"param_map":{"e1":"e1"}}'],
+     "unknown universe element ['h1']"),
+])
+def test_labels_of_the_wrong_type_are_invalid_input(capsys, argv, message):
+    code, out, err = run(capsys, argv + ["--no-banner"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: literal: {message}\n"

@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from softtopo import (
+    BitCapExceeded,
     InvalidTopology,
     SoftSet,
     SoftTopology,
     check_topology,
     discrete,
     enumerate_soft_sets,
+    enumerate_topologies,
     from_subbasis,
     indiscrete,
     is_basis,
@@ -24,6 +27,7 @@ from softtopo import (
 from .conftest import SIG21, SIG32, small_topologies
 
 SIG31 = parse_signature({"universe": ["h1", "h2", "h3"], "parameters": ["e1"]})
+SIG22 = parse_signature({"universe": ["h1", "h2"], "parameters": ["e1", "e2"]})
 
 
 def test_example_family_is_valid(example_space):
@@ -165,6 +169,43 @@ def test_from_subbasis_always_validates():
     for seeds in itertools.combinations(sets, 2):
         t = from_subbasis(SIG31, seeds)
         assert check_topology(SIG31, t.opens) is None
+
+
+def test_from_subbasis_is_the_smallest_topology_holding_its_seeds():
+    # oracle: the intersection of every topology on the signature holding the seeds
+    rng = random.Random(2026)
+    for sig in (SIG21, SIG31, SIG22):
+        families = [t.open_mask_set for t in enumerate_topologies(sig)]
+        lattice = range(1 << sig.bits)
+        seed_families = [()] + [tuple(rng.sample(lattice, rng.randint(1, 4))) for _ in range(150)]
+        for seeds in seed_families:
+            oracle = frozenset.intersection(*(f for f in families if f.issuperset(seeds)))
+            t = from_subbasis(sig, [SoftSet(sig, m) for m in seeds])
+            assert t.open_mask_set == oracle, (sig.key(), seeds)
+
+
+def test_from_subbasis_cap_bounds_the_family_size():
+    rng = random.Random(7)
+    for sig in (SIG31, SIG22):
+        lattice = range(1 << sig.bits)
+        for _ in range(40):
+            seeds = [SoftSet(sig, m) for m in rng.sample(lattice, rng.randint(0, 5))]
+            size = len(from_subbasis(sig, seeds, cap=sig.bits).open_masks)
+            for cap in range(1, sig.bits + 1):
+                if size > 1 << cap:
+                    with pytest.raises(BitCapExceeded, match=rf"exceeds 2\^{cap} members"):
+                        from_subbasis(sig, seeds, cap=cap)
+                else:
+                    assert len(from_subbasis(sig, seeds, cap=cap).open_masks) == size
+
+
+def test_from_subbasis_of_singletons_is_discrete_at_16_bits():
+    # the union closure of 16 singleton neighbourhoods; a pairwise fixpoint over
+    # the 65,536-member family does not finish in test time
+    sig = parse_signature({"universe": ["h1", "h2", "h3", "h4"],
+                           "parameters": ["e1", "e2", "e3", "e4"]})
+    t = from_subbasis(sig, [SoftSet(sig, 1 << x) for x in range(sig.bits)])
+    assert t == discrete(sig)
 
 
 def test_space_file_round_trip(tmp_path, example_space):
