@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import claims as claims_mod
-from . import kernels
 from .claims import (
     BUILTIN_SPACES,
     REGISTRY,
@@ -40,7 +39,7 @@ from .topology import SoftTopology, from_subbasis, load_space, save_space
 from .version import TOOL
 
 WITNESS_CAP = 24
-EXHAUSTIVE_BIT_LIMIT = 4
+EXHAUSTIVE_BIT_LIMIT = 5
 
 
 def auto_signature(universe: int, parameters: int) -> SpaceSignature:
@@ -114,19 +113,40 @@ def parse_corpus_spec(obj) -> CorpusSpec:
 def enumerate_topologies(sig: SpaceSignature) -> Iterator[SoftTopology]:
     """Every valid open family on the signature, exactly once, canonical order.
 
-    Candidates are subsets of the lattice that contain the null and absolute
-    sets; the filter keeps the ones closed under pairwise union and
-    intersection (on a finite lattice that covers arbitrary unions). Order
-    is by the candidate's membership bitmap over ascending masks, so the
-    indiscrete family comes first and the discrete family last.
+    A finite topology is a preorder on its cells: each cell x has a minimal
+    open neighbourhood N(x) that holds x, and y in N(x) forces N(y) within
+    N(x). The search assigns N(x) cell by cell, checking that condition both
+    ways against every cell already assigned, and each full assignment is
+    the family of unions of its N(x). Order is by the family's membership
+    bitmap over ascending masks, so the indiscrete family comes first and
+    the discrete family last.
     """
     bits = sig.bits
     if bits > EXHAUSTIVE_BIT_LIMIT:
         raise BitCapExceeded(
             f"exhaustive enumeration stops at {EXHAUSTIVE_BIT_LIMIT} lattice bits, got {bits}"
         )
-    for members in kernels.enumerate_topology_families(bits):
-        yield SoftTopology._from_masks(sig, members)
+    full = sig.full_mask
+    nbhds = [0] * bits
+    found = []
+
+    def assign(x: int) -> None:
+        if x == bits:
+            seeds = [SoftSet(sig, nb) for nb in nbhds]
+            found.append(from_subbasis(sig, seeds, cap=bits))
+            return
+        bit = 1 << x
+        for nb in range(bit, full + 1):
+            if nb & bit and all(
+                (not nb >> y & 1 or nbhds[y] & ~nb == 0)
+                and (not nbhds[y] & bit or nb & ~nbhds[y] == 0)
+                for y in range(x)
+            ):
+                nbhds[x] = nb
+                assign(x + 1)
+
+    assign(0)
+    yield from sorted(found, key=lambda t: sum(1 << m for m in t.open_masks))
 
 
 def random_topology(sig: SpaceSignature, seed: int, density: float) -> SoftTopology:
@@ -375,6 +395,8 @@ def run_claim_suite(
 ) -> SuiteResult:
     selected = _select_claims(claim_ids)
     jobs = worker_count(jobs)
+    if cross_triples < 0:
+        raise LiteralError(f"cross-triples must be at least 0, got {cross_triples}")
     space_items = _space_items(corpus)
     fp = corpus.fingerprint
     all_fp = fingerprint_of([t for _, t in space_items])
@@ -552,6 +574,9 @@ def load_witness_dir(path: str) -> dict:
         "label": meta.get("label", "replay"),
         "payload": payload,
     }
+    for key in ("claim", "label"):
+        if not isinstance(bundle[key], str):
+            raise CorpusError(f"witness field {key!r} must be a string, got {bundle[key]!r}")
     space = read("space.json", required=False)
     func = read("function.json", required=False)
     if space is None and func is None:

@@ -134,48 +134,6 @@ def check_family(masks: list[int], full: int) -> tuple[str, int, int] | None:
     return None
 
 
-def enumerate_topology_families(bits: int) -> list[tuple[int, ...]]:
-    """Every valid open family on a lattice of `bits` bits, ascending.
-
-    Exhaustive over all 2**(2**bits - 2) candidate families, so bits <= 4.
-    Families are emitted as sorted mask tuples, ordered by their indicator
-    over the non-trivial masks 1..full-1.
-    """
-    if not 1 <= bits <= 4:
-        raise ValueError("exhaustive enumeration needs 1 <= bits <= 4")
-    lattice = 1 << bits
-    full = lattice - 1
-    middle = lattice - 2  # masks 1..full-1 are optional members
-    out = []
-    for famask in range(1 << middle):
-        members = [0]
-        rest = famask
-        v = 1
-        while rest:
-            if rest & 1:
-                members.append(v)
-            rest >>= 1
-            v += 1
-        members.append(full)
-        present = [False] * lattice
-        for o in members:
-            present[o] = True
-        ok = True
-        k = len(members)
-        for i in range(k):
-            a = members[i]
-            for j in range(i + 1, k):
-                b = members[j]
-                if not (present[a | b] and present[a & b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(members))
-    return out
-
-
 def min_cover(universe: int, masks: list[int]) -> tuple[int, ...] | None:
     """Exact minimum-cardinality subcover of `universe`, as sorted indices.
 

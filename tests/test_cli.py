@@ -189,6 +189,18 @@ def test_gen_exhaustive(tmp_path, capsys):
     assert (out_dir / "manifest.json").exists()
 
 
+def test_gen_exhaustive_refuses_six_bits(tmp_path, capsys):
+    code, out, err = run(
+        capsys,
+        ["gen", "--exhaustive", "--universe", "3", "--params", "2",
+         "-o", str(tmp_path / "x"), "--no-banner"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: bitcap: exhaustive corpora stop at 5 lattice bits, got 6\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_gen_random_determinism(tmp_path, capsys):
     args = ["gen", "--universe", "3", "--params", "2", "--count", "25", "--seed", "42",
             "--density", "0.3", "--no-banner"]
@@ -291,6 +303,23 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert "reproduced=false" in out
 
 
+@pytest.mark.parametrize("meta, message", [
+    ({"claim": ["R2.3.conv"]}, "witness field 'claim' must be a string, got ['R2.3.conv']"),
+    ({"claim": "R2.3.conv", "label": ["x"]}, "witness field 'label' must be a string, got ['x']"),
+], ids=["claim", "label"])
+def test_replay_refuses_witness_fields_that_are_not_strings(tmp_path, capsys, meta, message):
+    out_dir = str(tmp_path / "c")
+    run(capsys, ["gen", "--universe", "2", "--params", "1", "--exhaustive", "-o", out_dir])
+    run(capsys, ["suite", out_dir, "--claims", "R2.3.conv", "--no-banner"])
+    wdir = os.path.join(out_dir, "witnesses", "R2.3.conv", "0")
+    with open(os.path.join(wdir, "claim.json"), "w") as fh:
+        json.dump(meta, fh)
+    code, out, err = run(capsys, ["replay", wdir, "--no-banner"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: corpus: {message}\n"
+
+
 def test_replay_refuses_a_claim_file_that_is_not_an_object(tmp_path, capsys):
     out_dir = str(tmp_path / "c")
     run(capsys, ["gen", "--universe", "2", "--params", "1", "--exhaustive", "-o", out_dir])
@@ -346,6 +375,15 @@ def test_jobs_below_one_is_refused(capsys):
     code, _, err = run(capsys, ["suite", "builtin:example", "--jobs", "0", "--no-banner"])
     assert code == 2
     assert err.startswith("error: literal: jobs must be at least 1")
+
+
+def test_negative_cross_triples_are_refused(capsys):
+    code, out, err = run(
+        capsys, ["suite", "builtin:example", "--cross-triples", "-3", "--no-banner"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: literal: cross-triples must be at least 0, got -3\n"
 
 
 _ONE_CELL = '{"signature":{"universe":["h1"],"parameters":["e1"]},"opens":[{},{"e1":["h1"]}]}'

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -21,13 +22,12 @@ from softtopo import (
     random_topology,
     run_claim_suite,
 )
-from softtopo.explorer import _instance_seed
+from softtopo.explorer import _instance_seed, auto_signature
 
 from .conftest import SIG21, SIG32
 
 SIG11 = parse_signature({"universe": ["h1"], "parameters": ["e1"]})
 SIG31 = parse_signature({"universe": ["h1", "h2", "h3"], "parameters": ["e1"]})
-SIG41 = parse_signature({"universe": ["h1", "h2", "h3", "h4"], "parameters": ["e1"]})
 SIG22 = parse_signature({"universe": ["h1", "h2"], "parameters": ["e1", "e2"]})
 
 
@@ -44,21 +44,54 @@ def brute_force_topologies(sig):
 
 
 def test_counts_match_known_values():
-    # labeled-topology counts over 1..4 cells
-    assert len(list(enumerate_topologies(SIG11))) == 1
-    assert len(list(enumerate_topologies(SIG21))) == 4
-    assert len(list(enumerate_topologies(SIG31))) == 29
-    assert len(list(enumerate_topologies(SIG41))) == 355
+    # labeled-topology counts over 1..5 cells (OEIS A000798)
+    for k, count in enumerate((1, 4, 29, 355, 6942), start=1):
+        assert len(list(enumerate_topologies(auto_signature(k, 1)))) == count
+        assert len(list(enumerate_topologies(auto_signature(1, k)))) == count
     # only the cell count matters, not its factorization
     assert len(list(enumerate_topologies(SIG22))) == 355
 
 
 def test_enumerator_agrees_with_power_set_filter():
-    for sig in (SIG11, SIG21):
+    for sig in (SIG11, SIG21, SIG31, auto_signature(1, 3)):
         slow = set(brute_force_topologies(sig))
         fast = [frozenset(o.mask for o in t.opens) for t in enumerate_topologies(sig)]
         assert len(fast) == len(slow)
         assert set(fast) == slow
+
+
+# sha256 over the encodings of every topology of up to 4 lattice bits, one
+# per line, in enumeration order over these signatures (1132 spaces)
+ORDERED_ENCODINGS_SHA256 = "926e94234aea25dc362a781ad808a47fe1002387556c7207856efa29f9811b06"
+SMALL_SIGNATURES = ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2), (4, 1), (1, 4))
+
+
+def test_enumeration_order_is_pinned():
+    encodings = [t.encoding() for n, m in SMALL_SIGNATURES
+                 for t in enumerate_topologies(auto_signature(n, m))]
+    assert len(encodings) == 1132
+    digest = hashlib.sha256("\n".join(encodings).encode("utf-8")).hexdigest()
+    assert digest == ORDERED_ENCODINGS_SHA256
+
+
+def test_enumeration_ignores_the_bit_cap(monkeypatch):
+    monkeypatch.setenv("SOFTTOPO_BITCAP", "3")
+    assert len(list(enumerate_topologies(SIG22))) == 355
+
+
+def test_five_bit_corpus_refutes_t6_18():
+    corpus = Corpus(list(enumerate_topologies(auto_signature(5, 1))))
+    result = run_claim_suite(corpus, claim_ids=["T6.18", "T6.12"])
+    t618 = result.record("T6.18")
+    assert (t618.status, t618.hypotheses, t618.failures) == ("refuted", 687, 60)
+    first = t618.witnesses[0]
+    assert first["label"].startswith("corpus[994]:")
+    assert corpus.instances[994].encoding() == (
+        "h1|h2|h3|h4|h5;e1::00000,00001,00010,00011,00100,00101,00110,00111,"
+        "01101,01111,10011,10111,11111"
+    )
+    t612 = result.record("T6.12")
+    assert (t612.status, t612.hypotheses, t612.failures) == ("holds", 687, 0)
 
 
 def test_enumeration_order_and_extremes():
@@ -102,6 +135,7 @@ def test_corpus_spec_validation():
         CorpusSpec(mode="surprise", universe=2, parameters=1)
     with pytest.raises(BitCapExceeded):
         CorpusSpec(mode="exhaustive", universe=3, parameters=2)
+    CorpusSpec(mode="exhaustive", universe=5, parameters=1)
     with pytest.raises(LiteralError):
         CorpusSpec(mode="random", universe=2, parameters=1, count=-1)
     with pytest.raises(LiteralError):
