@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import kernels
+from . import core, kernels
 from .analysis import (
     AXIOM_NAMES,
     analyze_cover,
@@ -167,10 +167,10 @@ class SpaceCtx:
         return _submasks_asc(self.full)
 
     def interior(self, m: int) -> int:
-        return kernels.interior_mask(m, self.t.open_masks)
+        return kernels.interior_mask(m, self.t.basis)
 
     def closure(self, m: int) -> int:
-        return kernels.closure_mask(m, self.t.open_masks, self.full)
+        return kernels.closure_mask(m, self.t.basis, self.full)
 
     def lit(self, m: int) -> dict:
         return SoftSet(self.t.signature, m).to_literal()
@@ -1574,10 +1574,10 @@ def _inv_lattice(ctx: SpaceCtx) -> Iterator[Check]:
     rng = ctx.rng("INV.CORE.LATTICE")
     sig = ctx.t.signature
     for _ in range(12):
-        a, b, c = (rng.below(ctx.full + 1) & ctx.full for _ in range(3))
+        a, b, c = (SoftSet(sig, rng.below(ctx.full + 1) & ctx.full) for _ in range(3))
         ok = (
-            (a | b) == (b | a)
-            and (a & b) == (b & a)
+            (a | b) == core.union(sig, (b, a))
+            and (a & b) == core.intersection(sig, (b, a))
             and ((a | b) | c) == (a | (b | c))
             and ((a & b) & c) == (a & (b & c))
             and (a | (a & b)) == a
@@ -1586,7 +1586,7 @@ def _inv_lattice(ctx: SpaceCtx) -> Iterator[Check]:
             and (a | a) == a
         )
         yield ok, None if ok else {
-            "set": ctx.lit(a), "set2": ctx.lit(b), "set3": ctx.lit(c)
+            "set": a.to_literal(), "set2": b.to_literal(), "set3": c.to_literal()
         }
     a = SoftSet(sig, rng.below(ctx.full + 1) & ctx.full)
     b = SoftSet(sig, rng.below(ctx.full + 1) & ctx.full)
@@ -1622,17 +1622,20 @@ def _inv_demorgan(ctx: SpaceCtx) -> Iterator[Check]:
 )
 def _inv_order(ctx: SpaceCtx) -> Iterator[Check]:
     rng = ctx.rng("INV.CORE.ORDER")
+    sig = ctx.t.signature
     for _ in range(12):
-        a, b, c = (rng.below(ctx.full + 1) & ctx.full for _ in range(3))
-        sub = a & ~b == 0
+        a, b, c = (SoftSet(sig, rng.below(ctx.full + 1) & ctx.full) for _ in range(3))
+        sub = core.is_subset(a, b)
         ok = (
             sub == ((a | b) == b)
             and sub == ((a & b) == a)
-            and (a & ~a == 0)
-            and (not (a & ~b == 0 and b & ~a == 0) or a == b)
-            and (not (a & ~b == 0 and b & ~c == 0) or a & ~c == 0)
+            and core.is_subset(a, a)
+            and (not (sub and core.is_subset(b, a)) or a == b)
+            and (not (sub and core.is_subset(b, c)) or core.is_subset(a, c))
         )
-        yield ok, None if ok else {"set": ctx.lit(a), "set2": ctx.lit(b), "set3": ctx.lit(c)}
+        yield ok, None if ok else {
+            "set": a.to_literal(), "set2": b.to_literal(), "set3": c.to_literal()
+        }
 
 
 @_claim(

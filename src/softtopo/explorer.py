@@ -242,10 +242,15 @@ def import_corpus(path: str) -> Corpus:
         raise CorpusError(f"manifest is not valid JSON: {exc}")
     if not isinstance(manifest, dict) or "fingerprint" not in manifest or "instances" not in manifest:
         raise CorpusError("manifest needs 'fingerprint' and 'instances'")
+    if not isinstance(manifest["fingerprint"], str):
+        raise CorpusError("manifest 'fingerprint' must be a string")
     names = manifest["instances"]
     if not isinstance(names, list):
         raise CorpusError("manifest 'instances' must be a list of file names")
-    instances = [load_space(os.path.join(path, str(n))) for n in names]
+    for n in names:
+        if not isinstance(n, str) or os.path.basename(n) != n or n in ("", ".", ".."):
+            raise CorpusError(f"manifest instance {n!r} is not a file name in the corpus")
+    instances = [load_space(os.path.join(path, n)) for n in names]
     spec = None if manifest.get("spec") is None else parse_corpus_spec(manifest["spec"])
     corpus = Corpus(instances, spec)
     if corpus.fingerprint != manifest["fingerprint"]:

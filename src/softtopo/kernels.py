@@ -2,8 +2,9 @@
 
 Every function here treats soft sets as int masks inside a fixed lattice;
 `full` is the mask of the space's absolute set (the whole lattice for a
-plain space, the carrier for a subspace) and `opens` is a sequence of
-masks, each a submask of `full`.
+plain space, the carrier for a subspace) and `basis` is any basis of the
+topology as masks under `full`: interior and closure over a basis equal
+those over the whole open family. Callers pass `SoftTopology.basis`.
 
 Only fast paths live here. The per-set route is `interior_mask` and
 `closure_mask`, which softtopo.semi composes into the semi operators. The
@@ -22,17 +23,17 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def _interior(g: int, opens: Sequence[int]) -> int:
+def _interior(g: int, basis: Sequence[int]) -> int:
     acc = 0
-    for o in opens:
+    for o in basis:
         if o & ~g == 0:
             acc |= o
     return acc
 
 
-def _closure(g: int, opens: Sequence[int], full: int) -> int:
+def _closure(g: int, basis: Sequence[int], full: int) -> int:
     acc = full
-    for o in opens:
+    for o in basis:
         c = full ^ o
         if g & ~c == 0:
             acc &= c
@@ -50,57 +51,33 @@ def submasks(full: int) -> list[int]:
         s = (s - full) & full
 
 
-def interior_mask(g: int, opens: Sequence[int]) -> int:
-    """Union of the open masks contained in g."""
-    return _interior(g, opens)
+def interior_mask(g: int, basis: Sequence[int]) -> int:
+    """Union of the basis members contained in g: the interior of g."""
+    return _interior(g, basis)
 
 
-def closure_mask(g: int, opens: Sequence[int], full: int) -> int:
-    """Intersection of the closed masks (complements of opens) containing g."""
-    return _closure(g, opens, full)
+def closure_mask(g: int, basis: Sequence[int], full: int) -> int:
+    """`full` minus the basis members disjoint from g: the closure of g."""
+    return _closure(g, basis, full)
 
 
-def semiopen_masks(opens: Sequence[int], full: int) -> list[int]:
-    """All semiopen masks of the lattice under `full`, ascending."""
-    out = []
-    s = 0
-    while True:
-        if s & ~_closure(_interior(s, opens), opens, full) == 0:
-            out.append(s)
-        if s == full:
-            return out
-        s = (s - full) & full
-
-
-def semiclosed_masks(opens: Sequence[int], full: int) -> list[int]:
-    """All semiclosed masks of the lattice under `full`, ascending."""
-    out = []
-    s = 0
-    while True:
-        if _interior(_closure(s, opens, full), opens) & ~s == 0:
-            out.append(s)
-        if s == full:
-            return out
-        s = (s - full) & full
-
-
-def ssint_table(opens: Sequence[int], full: int) -> dict[int, int]:
+def ssint_table(basis: Sequence[int], full: int) -> dict[int, int]:
     """Semi-interior of every submask of `full`."""
     table = {}
     s = 0
     while True:
-        table[s] = s & _closure(_interior(s, opens), opens, full)
+        table[s] = s & _closure(_interior(s, basis), basis, full)
         if s == full:
             return table
         s = (s - full) & full
 
 
-def sscl_table(opens: Sequence[int], full: int) -> dict[int, int]:
+def sscl_table(basis: Sequence[int], full: int) -> dict[int, int]:
     """Semi-closure of every submask of `full`."""
     table = {}
     s = 0
     while True:
-        table[s] = s | _interior(_closure(s, opens, full), opens)
+        table[s] = s | _interior(_closure(s, basis, full), basis)
         if s == full:
             return table
         s = (s - full) & full

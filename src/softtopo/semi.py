@@ -4,15 +4,17 @@ A set is semiopen when it sits between some open set and that open set's
 closure, and semiclosed when it sits between some closed set's interior
 and that closed set. Two routes are implemented for every question:
 
-fast path    closed-form formulas on interior/closure (kernel-backed):
+fast path    closed-form formulas on interior/closure (kernel-backed, over
+             the minimal basis N(x) of the space):
              semiopen  <=>  G inside closure(interior(G))
              semiclosed <=> interior(closure(G)) inside G
              ssint(G) = G ∩ closure(interior(G)) — largest semiopen inside G
              sscl(G)  = G ∪ interior(closure(G)) — smallest semiclosed over G
 
-oracle       naive definitional witness searches and lattice scans, kept
-             in plain Python with no kernel calls so the two routes share
-             no code. The claim suite asserts exact agreement.
+oracle       naive definitional witness searches and lattice scans over
+             the whole open family, kept in plain Python with no kernel
+             calls so the two routes share neither code nor input. The
+             claim suite asserts exact agreement.
 
 Per-space results are cached on the topology object.
 """
@@ -98,8 +100,8 @@ class SemiTables:
 
     @cached_property
     def soss_masks(self) -> list[int]:
-        self._check_cap()
-        return kernels.semiopen_masks(self.t.open_masks, self.full)
+        # s is semiopen exactly when ssint(s) = s; the table is ascending
+        return [s for s, i in self.ssint.items() if i == s]
 
     @cached_property
     def soss_set(self) -> frozenset:
@@ -116,19 +118,18 @@ class SemiTables:
 
     @cached_property
     def semiclosed_direct_masks(self) -> list[int]:
-        """Semiclosed family by its own fast formula, not by complementing."""
-        self._check_cap()
-        return kernels.semiclosed_masks(self.t.open_masks, self.full)
+        """Semiclosed family as the fixed points of sscl, not by complementing."""
+        return [s for s, c in self.sscl.items() if c == s]
 
     @cached_property
     def ssint(self) -> dict[int, int]:
         self._check_cap()
-        return kernels.ssint_table(self.t.open_masks, self.full)
+        return kernels.ssint_table(self.t.basis, self.full)
 
     @cached_property
     def sscl(self) -> dict[int, int]:
         self._check_cap()
-        return kernels.sscl_table(self.t.open_masks, self.full)
+        return kernels.sscl_table(self.t.basis, self.full)
 
     # oracle route
 
@@ -177,8 +178,8 @@ def tables(t: SoftTopology) -> SemiTables:
 def is_semiopen(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
     """Fast path; the witness (when true) is the set's interior."""
     t._inside(g)
-    i = kernels.interior_mask(g.mask, t.open_masks)
-    if g.mask & ~kernels.closure_mask(i, t.open_masks, t.absolute.mask):
+    i = kernels.interior_mask(g.mask, t.basis)
+    if g.mask & ~kernels.closure_mask(i, t.basis, t.absolute.mask):
         return False, None
     return True, SoftSet(t.signature, i)
 
@@ -186,8 +187,8 @@ def is_semiopen(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
 def is_semiclosed(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
     """Fast path; the witness (when true) is the set's closure."""
     t._inside(g)
-    c = kernels.closure_mask(g.mask, t.open_masks, t.absolute.mask)
-    if kernels.interior_mask(c, t.open_masks) & ~g.mask:
+    c = kernels.closure_mask(g.mask, t.basis, t.absolute.mask)
+    if kernels.interior_mask(c, t.basis) & ~g.mask:
         return False, None
     return True, SoftSet(t.signature, c)
 
@@ -227,15 +228,15 @@ def scss_definitional(t: SoftTopology) -> tuple[SoftSet, ...]:
 def ssint(t: SoftTopology, g: SoftSet) -> SoftSet:
     """Largest semiopen set inside g (fast path, no lattice scan)."""
     t._inside(g)
-    i = kernels.interior_mask(g.mask, t.open_masks)
-    return SoftSet(t.signature, g.mask & kernels.closure_mask(i, t.open_masks, t.absolute.mask))
+    i = kernels.interior_mask(g.mask, t.basis)
+    return SoftSet(t.signature, g.mask & kernels.closure_mask(i, t.basis, t.absolute.mask))
 
 
 def sscl(t: SoftTopology, g: SoftSet) -> SoftSet:
     """Smallest semiclosed set containing g (fast path, no lattice scan)."""
     t._inside(g)
-    c = kernels.closure_mask(g.mask, t.open_masks, t.absolute.mask)
-    return SoftSet(t.signature, g.mask | kernels.interior_mask(c, t.open_masks))
+    c = kernels.closure_mask(g.mask, t.basis, t.absolute.mask)
+    return SoftSet(t.signature, g.mask | kernels.interior_mask(c, t.basis))
 
 
 def ssint_definitional(t: SoftTopology, g: SoftSet) -> SoftSet:

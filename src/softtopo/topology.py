@@ -50,8 +50,24 @@ class AxiomViolation:
         }
 
 
+def _minimal_basis(masks: Iterable[int], full: int) -> tuple[int, ...]:
+    """The distinct N(x) over the cells x of `full`, ascending: each is the
+    intersection of `full` and every mask holding x."""
+    cells = [x for x in range(full.bit_length()) if full >> x & 1]
+    nbhds = [full] * len(cells)
+    for m in masks:
+        for i, x in enumerate(cells):
+            if m >> x & 1:
+                nbhds[i] &= m
+    return tuple(sorted(set(nbhds)))
+
+
 class SoftTopology:
-    """Immutable open family; construct via validate_topology or the factories."""
+    """Immutable open family; construct via validate_topology or the factories.
+
+    `basis` assumes a valid family: validate_topology and every factory
+    guarantee one, the bare constructor does not check it.
+    """
 
     __slots__ = ("signature", "absolute", "open_masks", "open_mask_set", "_cache")
 
@@ -85,10 +101,8 @@ class SoftTopology:
         self.absolute = absolute
         self.open_mask_set = frozenset(masks)
         self.open_masks = tuple(sorted(self.open_mask_set))
-        # memos that live and die with this object: the opens view, encoding,
-        # semi tables. The per-set fast route is kernels.interior_mask and
-        # closure_mask over open_masks; a minimal-neighbourhood kernel would
-        # replace those two.
+        # memos that live and die with this object: the opens view, basis,
+        # encoding, semi tables
         self._cache: dict = {}
 
     @property
@@ -99,6 +113,14 @@ class SoftTopology:
             sig = self.signature
             opens = self._cache["opens"] = tuple(SoftSet(sig, m) for m in self.open_masks)
         return opens
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        """The distinct minimal open neighbourhoods N(x), ascending; built on first use."""
+        basis = self._cache.get("basis")
+        if basis is None:
+            basis = self._cache["basis"] = _minimal_basis(self.open_masks, self.absolute.mask)
+        return basis
 
     # -- identity ----------------------------------------------------------
 
@@ -147,11 +169,11 @@ class SoftTopology:
     # -- interior / closure --------------------------------------------------
 
     def interior(self, g: SoftSet) -> SoftSet:
-        m = kernels.interior_mask(self._inside(g).mask, self.open_masks)
+        m = kernels.interior_mask(self._inside(g).mask, self.basis)
         return SoftSet(self.signature, m)
 
     def closure(self, g: SoftSet) -> SoftSet:
-        m = kernels.closure_mask(self._inside(g).mask, self.open_masks, self.absolute.mask)
+        m = kernels.closure_mask(self._inside(g).mask, self.basis, self.absolute.mask)
         return SoftSet(self.signature, m)
 
     def lattice(self) -> Iterator[SoftSet]:
@@ -219,15 +241,13 @@ def from_subbasis(sig: SpaceSignature, seeds: Iterable[SoftSet],
     """
     cap = bit_cap() if cap is None else cap
     limit = 1 << cap
-    nbhds = [sig.full_mask] * sig.bits
+    masks = []
     for s in seeds:
         if s.signature != sig:
             raise SignatureMismatch("seed set bound to a different signature")
-        for x in range(sig.bits):
-            if s.mask >> x & 1:
-                nbhds[x] &= s.mask
+        masks.append(s.mask)
     family = {0}
-    for nb in set(nbhds):
+    for nb in _minimal_basis(masks, sig.full_mask):
         family |= {f | nb for f in family}
         if len(family) > limit:
             raise BitCapExceeded(
@@ -246,20 +266,13 @@ def subspace(t: SoftTopology, carrier: SoftSet) -> SoftTopology:
 
 
 def is_basis(t: SoftTopology, basis: Iterable[SoftSet]) -> bool:
-    """True when every open is a union of basis members (null = empty union)."""
+    """True when every open, so every N(x), is a union of basis members (null = empty union)."""
     bmasks = []
     for b in basis:
         if not t.is_open(b):
             raise LiteralError("basis candidate contains a non-open set")
         bmasks.append(b.mask)
-    for o in t.open_masks:
-        acc = 0
-        for bm in bmasks:
-            if bm & ~o == 0:
-                acc |= bm
-        if acc != o:
-            return False
-    return True
+    return all(kernels.interior_mask(nb, bmasks) == nb for nb in t.basis)
 
 
 # -- space files -------------------------------------------------------------

@@ -8,6 +8,7 @@ from softtopo import (
     enumerate_topologies,
     indiscrete,
     parse_signature,
+    subspace,
 )
 from softtopo.explorer import auto_signature
 
@@ -34,6 +35,15 @@ def small_topologies() -> list[SoftTopology]:
     return [example_topology()] + [
         t for n, m in sigs for t in enumerate_topologies(auto_signature(n, m))
     ]
+
+
+def small_subspaces() -> list[SoftTopology]:
+    """Each of small_topologies(), followed by its subspace on every nonnull carrier."""
+    out = []
+    for t in small_topologies():
+        lattice = range(1, t.signature.full_mask + 1)
+        out += [t] + [subspace(t, SoftSet(t.signature, c)) for c in lattice]
+    return out
 
 
 @pytest.fixture(scope="session")

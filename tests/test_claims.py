@@ -13,6 +13,7 @@ from softtopo.claims import (
     evaluate_claim,
     replay_witness,
 )
+from softtopo.core import SoftSet
 from softtopo.semi import tables
 
 from .conftest import SIG32, example_topology
@@ -225,3 +226,17 @@ def test_t4_7_catches_both_mutants_on_a_semiclosed_carrier(monkeypatch):
     hyp, failures = evaluate_claim(REGISTRY["T4.7"], ctx)
     assert hyp == len(subs)
     assert [f["check"] for f in failures] == ["semiclosed-fip"] * len(subs)
+
+
+@pytest.mark.parametrize("broken_or", [
+    lambda a, b: SoftSet(a.signature, a.mask & b.mask),
+    lambda a, b: a,
+    lambda a, b: SoftSet(a.signature, a.mask ^ b.mask),
+], ids=["and", "left", "xor"])
+def test_core_invariants_test_the_soft_set_operators(monkeypatch, broken_or):
+    ctx = SpaceCtx(example_topology(), "mutant")
+    ids = ("INV.CORE.LATTICE", "INV.CORE.ORDER")
+    assert [evaluate_claim(REGISTRY[c], ctx) for c in ids] == [(13, []), (12, [])]
+    monkeypatch.setattr(SoftSet, "__or__", broken_or)
+    for c in ids:
+        assert evaluate_claim(REGISTRY[c], ctx)[1], c

@@ -236,6 +236,38 @@ def test_suite_over_corpus_dir(tmp_path, capsys):
     assert os.path.isdir(wroot)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("fingerprint", 7),
+    ("name", 0),
+    ("name", "absolute"),
+    ("name", "../{}"),
+    ("name", ""),
+    ("name", "."),
+], ids=["fingerprint-int", "name-int", "name-absolute", "name-parent", "name-empty", "name-dot"])
+def test_suite_refuses_a_manifest_outside_its_corpus(tmp_path, capsys, field, value):
+    out_dir = tmp_path / "c"
+    run(capsys, ["gen", "--universe", "1", "--params", "1", "--exhaustive", "-o", str(out_dir)])
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    first = manifest["instances"][0]
+    if field == "fingerprint":
+        manifest["fingerprint"] = value
+        message = "manifest 'fingerprint' must be a string"
+    else:
+        # the same space file moved out of the corpus: the fingerprint still matches
+        os.replace(out_dir / first, tmp_path / first)
+        if value == "absolute":
+            value = str(tmp_path / first)
+        elif isinstance(value, str):
+            value = value.format(first)
+        manifest["instances"][0] = value
+        message = f"manifest instance {value!r} is not a file name in the corpus"
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    code, out, err = run(capsys, ["suite", str(out_dir), "--no-banner"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: corpus: {message}\n"
+
+
 def test_suite_reports_identical_across_jobs(tmp_path, capsys):
     out_dir = str(tmp_path / "c")
     run(capsys, ["gen", "--universe", "2", "--params", "1", "--exhaustive", "-o", out_dir])

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -24,7 +26,7 @@ from softtopo import (
     validate_topology,
 )
 
-from .conftest import SIG21, SIG32, small_topologies
+from .conftest import SIG21, SIG32, small_subspaces, small_topologies
 
 SIG31 = parse_signature({"universe": ["h1", "h2", "h3"], "parameters": ["e1"]})
 SIG22 = parse_signature({"universe": ["h1", "h2"], "parameters": ["e1", "e2"]})
@@ -139,6 +141,29 @@ def test_is_basis(example_space, f1, indiscrete21):
     assert is_basis(example_space, example_space.opens)
     assert is_basis(indiscrete21, [make_absolute(SIG21)])
     assert not is_basis(example_space, [f1])
+
+
+def _union_closure(masks):
+    family = {0}
+    for m in masks:
+        family |= {f | m for f in family}
+    return tuple(sorted(family))
+
+
+def test_basis_is_the_distinct_minimal_neighbourhoods():
+    sig16 = parse_signature({"universe": ["h1", "h2", "h3", "h4"],
+                             "parameters": ["e1", "e2", "e3", "e4"]})
+    disc, indisc = discrete(sig16, cap=16), indiscrete(sig16)
+    assert disc.basis == tuple(1 << x for x in range(16))
+    assert indisc.basis == (sig16.full_mask,)
+    for t in [disc, indisc] + small_subspaces():
+        full = t.absolute.mask
+        nbhds = {
+            functools.reduce(operator.and_, (o for o in t.open_masks if o >> x & 1))
+            for x in range(t.signature.bits) if full >> x & 1
+        }
+        assert t.basis == tuple(sorted(nbhds)), t.encoding()
+        assert _union_closure(t.basis) == t.open_masks, t.encoding()
 
 
 def test_basis_members_must_be_open(example_space):
