@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import kernels
-from .core import SoftPoint, SoftSet
+from .core import SoftSet
 from .errors import InternalAssertionError, LiteralError, SignatureMismatch
 from .prng import SplitMix64, derive_seed
 from .semi import tables
@@ -185,17 +185,6 @@ def is_semiconnected(t: SoftTopology) -> bool:
     return find_semiseparation(t) is None
 
 
-def carrier_points(t: SoftTopology) -> list[SoftPoint]:
-    """The singleton soft points of the carrier, parameter-major."""
-    sig = t.signature
-    out = []
-    for i, param in enumerate(sig.parameters):
-        for j, elem in enumerate(sig.universe):
-            if t.absolute.mask & sig.cell_bit(i, j):
-                out.append(SoftPoint(sig, param, elem))
-    return out
-
-
 def _set_lit(t: SoftTopology, mask: int) -> dict:
     return SoftSet(t.signature, mask).to_literal()
 
@@ -224,7 +213,7 @@ def check_axiom(t: SoftTopology, axiom: str, all_witnesses: bool = False) -> Axi
     tab = tables(t)
     full = t.absolute.mask
     ssint_t = tab.ssint
-    pts = carrier_points(t)
+    pts = list(t.absolute.points())
     wit: list[dict] = []
 
     def done() -> AxiomCheck:
@@ -366,7 +355,7 @@ def naive_check_axiom(t: SoftTopology, axiom: str) -> Optional[bool]:
     if bin(full).count("1") > NAIVE_CELL_CAP:
         return None
     soss = tab.soss_masks
-    pts = [p.bit for p in carrier_points(t)]
+    pts = [p.bit for p in t.absolute.points()]
 
     if axiom == "semi_T0":
         return all(

@@ -24,7 +24,6 @@ from . import core, kernels
 from .analysis import (
     AXIOM_NAMES,
     analyze_cover,
-    carrier_points,
     check_axiom,
     find_clopen,
     find_semiseparation,
@@ -120,7 +119,7 @@ class SpaceCtx:
 
     @cached_property
     def points(self) -> list[SoftPoint]:
-        return carrier_points(self.t)
+        return list(self.t.absolute.points())
 
     @cached_property
     def report(self):
@@ -346,12 +345,11 @@ def _r2_3(ctx: SpaceCtx) -> Iterator[Check]:
     "all semiopen and semiclosed sets of every instance",
 )
 def _r2_3_conv(ctx: SpaceCtx) -> Iterator[Check]:
-    opens = ctx.t.open_mask_set
     for s in ctx.tab.soss_masks:
-        ok = s in opens
+        ok = ctx.interior(s) == s
         yield ok, None if ok else {"set": ctx.lit(s), "found": "semiopen-not-open"}
     for s in ctx.tab.scss_masks:
-        ok = (ctx.full ^ s) in opens
+        ok = ctx.closure(s) == s
         yield ok, None if ok else {"set": ctx.lit(s), "found": "semiclosed-not-closed"}
 
 
@@ -712,7 +710,7 @@ def _t2_13(ctx: SpaceCtx) -> Iterator[Check]:
 def _d3_1(ctx: TripleCtx) -> Iterator[Check]:
     f, cls = ctx.f, ctx.cls
     src, tgt = ctx.src, ctx.tgt
-    opens_src = src.t.open_mask_set
+    opens_src = frozenset(src.t.open_masks)
     slow = {
         "continuous": all(f.preimage_mask(o) in opens_src for o in tgt.t.open_masks),
         "semicontinuous": all(
@@ -1248,9 +1246,10 @@ def _t5_6(ctx: TripleCtx) -> Iterator[Check]:
         return
     m = ctx.f.image_mask(ctx.src.full) & ctx.tgt.full
     simg = subspace(ctx.t_tgt, SoftSet(ctx.t_tgt.signature, m))
-    sub_opens = simg.open_mask_set
     bad = next(
-        (o for o in simg.open_masks if o and o != m and (m & ~o) in sub_opens), None
+        (o for o in simg.open_masks
+         if o and o != m and kernels.interior_mask(m & ~o, simg.basis) == m & ~o),
+        None,
     )
     yield bad is None, None if bad is None else {"set": ctx.tgt.lit(bad)}
 
@@ -1514,7 +1513,6 @@ def _t6_16_open(ctx: TripleCtx) -> Iterator[Check]:
     ):
         return
     src, tgt = ctx.src, ctx.tgt
-    opens_tgt = tgt.t.open_mask_set
     for l_m, m_m in _disjoint_scss_pairs(tgt, 8):
         pl = ctx.f.preimage_mask(l_m)
         pm = ctx.f.preimage_mask(m_m)
@@ -1531,7 +1529,8 @@ def _t6_16_open(ctx: TripleCtx) -> Iterator[Check]:
             continue
         i1 = ctx.f.image_mask(found[0]) & tgt.full
         i2 = ctx.f.image_mask(found[1]) & tgt.full
-        ok = i1 in opens_tgt and i2 in opens_tgt and i1 & i2 == 0 and l_m & ~i1 == 0 and m_m & ~i2 == 0
+        ok = (tgt.interior(i1) == i1 and tgt.interior(i2) == i2
+              and i1 & i2 == 0 and l_m & ~i1 == 0 and m_m & ~i2 == 0)
         yield ok, None if ok else {"set": tgt.lit(l_m), "set2": tgt.lit(m_m)}
 
 
@@ -1709,7 +1708,7 @@ def _inv_subbasis(ctx: SpaceCtx) -> Iterator[Check]:
         seeds = [SoftSet(sig, rng.below(ctx.full + 1)) for _ in range(1 + rng.below(4))]
         t2 = from_subbasis(sig, seeds)
         viol = kernels.check_family(list(t2.open_masks), ctx.full)
-        ok = viol is None and all(s.mask in t2.open_mask_set for s in seeds)
+        ok = viol is None and all(t2.is_open(s) for s in seeds)
         yield ok, None if ok else {"subfamily": [s.to_literal() for s in seeds]}
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
+from . import kernels
 from .core import SoftSet, SpaceSignature
 from .errors import LiteralError, SignatureMismatch
 from .semi import tables
@@ -143,6 +144,13 @@ def classify_map(f: SoftFunction, t_src: SoftTopology, t_tgt: SoftTopology) -> M
     irresolute      preimage of every target semiopen is semiopen
     semiopen_map    image of every source open is semiopen
     semiclosed_map  image of every source closed set is semiclosed
+
+    The continuous, semicontinuous and semiopen_map tests hold on a union
+    of opens when they hold on its parts, and every open is the union of
+    the N(x) inside it. So the least failing open is an N(x), and those
+    flags scan the ascending minimal basis instead of the opens. Every
+    counterwitness is the first failing member of its family in ascending
+    order.
     """
     _check_spaces(f, t_src, t_tgt)
     src_tab = tables(t_src)
@@ -151,9 +159,9 @@ def classify_map(f: SoftFunction, t_src: SoftTopology, t_tgt: SoftTopology) -> M
 
     continuous = True
     semicontinuous = True
-    for o in t_tgt.open_masks:
+    for o in t_tgt.basis:
         pre = f.preimage_mask(o)
-        if continuous and pre not in t_src.open_mask_set:
+        if continuous and kernels.interior_mask(pre, t_src.basis) != pre:
             continuous = False
             wit["continuous"] = SoftSet(f.target, o)
         if semicontinuous and pre not in src_tab.soss_set:
@@ -170,7 +178,7 @@ def classify_map(f: SoftFunction, t_src: SoftTopology, t_tgt: SoftTopology) -> M
             break
 
     semiopen_map = True
-    for o in t_src.open_masks:
+    for o in t_src.basis:
         if f.image_mask(o) not in tgt_tab.soss_set:
             semiopen_map = False
             wit["semiopen_map"] = SoftSet(f.source, o)

@@ -260,12 +260,17 @@ def sscl_definitional(t: SoftTopology, g: SoftSet) -> SoftSet:
 
 
 def classify_set(t: SoftTopology, g: SoftSet) -> SemiClassification:
-    """Open/closed/semiopen/semiclosed verdicts with sandwich witnesses."""
+    """Open/closed/semiopen/semiclosed verdicts with sandwich witnesses.
+
+    An open set is semiopen with itself as interior witness, and a closed
+    set is semiclosed with itself as closure witness, so open and closed
+    are read off the witnesses.
+    """
     so, so_wit = is_semiopen(t, g)
     sc, sc_wit = is_semiclosed(t, g)
     return SemiClassification(
-        is_open=t.is_open(g),
-        is_closed=t.is_closed(g),
+        is_open=so and so_wit.mask == g.mask,
+        is_closed=sc and sc_wit.mask == g.mask,
         is_semiopen=so,
         is_semiclosed=sc,
         semiopen_witness=so_wit,

@@ -63,44 +63,40 @@ def _minimal_basis(masks: Iterable[int], full: int) -> tuple[int, ...]:
 
 
 class SoftTopology:
-    """Immutable open family; construct via validate_topology or the factories.
+    """Immutable open family, valid by construction.
 
-    `basis` assumes a valid family: validate_topology and every factory
-    guarantee one, the bare constructor does not check it.
+    The constructor checks the family with `check_topology` and raises
+    InvalidTopology on the first violated axiom; the factories build
+    valid families and skip the check. Openness and closedness are fixed
+    points of interior and closure over `basis`, the minimal
+    neighbourhoods N(x).
     """
 
-    __slots__ = ("signature", "absolute", "open_masks", "open_mask_set", "_cache")
+    __slots__ = ("signature", "absolute", "open_masks", "_cache")
 
     def __init__(self, signature: SpaceSignature, opens: Iterable[SoftSet],
                  absolute: SoftSet | None = None):
-        masks = []
-        for o in opens:
-            if o.signature != signature:
-                raise SignatureMismatch("open set bound to a different signature")
-            masks.append(o.mask)
-        self._init(signature, masks, absolute)
+        if absolute is not None and absolute.signature != signature:
+            raise SignatureMismatch("absolute set bound to a different signature")
+        opens = tuple(opens)
+        violation = check_topology(signature, opens, absolute)
+        if violation is not None:
+            raise InvalidTopology(violation)
+        self._init(signature, [o.mask for o in opens], absolute)
 
     @classmethod
     def _from_masks(cls, signature: SpaceSignature, masks: Collection[int],
                     absolute: SoftSet | None = None) -> "SoftTopology":
-        """The factories' route: open masks in, no SoftSet per member."""
+        """The factories' route: a valid family of open masks, unchecked."""
         t = cls.__new__(cls)
         t._init(signature, masks, absolute)
         return t
 
     def _init(self, signature: SpaceSignature, masks: Collection[int],
               absolute: SoftSet | None) -> None:
-        absolute = make_absolute(signature) if absolute is None else absolute
-        if absolute.signature != signature:
-            raise SignatureMismatch("absolute set bound to a different signature")
-        outside = ~absolute.mask
-        for m in masks:
-            if m & outside:
-                raise InvalidTopology(AxiomViolation("carrier", (SoftSet(signature, m),)))
         self.signature = signature
-        self.absolute = absolute
-        self.open_mask_set = frozenset(masks)
-        self.open_masks = tuple(sorted(self.open_mask_set))
+        self.absolute = make_absolute(signature) if absolute is None else absolute
+        self.open_masks = tuple(sorted(set(masks)))
         # memos that live and die with this object: the opens view, basis,
         # encoding, semi tables
         self._cache: dict = {}
@@ -153,7 +149,8 @@ class SoftTopology:
         return g
 
     def is_open(self, g: SoftSet) -> bool:
-        return self._inside(g).mask in self.open_mask_set
+        m = self._inside(g).mask
+        return kernels.interior_mask(m, self.basis) == m
 
     def relative_complement(self, g: SoftSet) -> SoftSet:
         return SoftSet(self.signature, self.absolute.mask ^ self._inside(g).mask)
@@ -164,7 +161,8 @@ class SoftTopology:
         return tuple(SoftSet(self.signature, full ^ m) for m in reversed(self.open_masks))
 
     def is_closed(self, g: SoftSet) -> bool:
-        return (self.absolute.mask ^ self._inside(g).mask) in self.open_mask_set
+        m = self._inside(g).mask
+        return kernels.closure_mask(m, self.basis, self.absolute.mask) == m
 
     # -- interior / closure --------------------------------------------------
 
@@ -210,11 +208,7 @@ def check_topology(sig: SpaceSignature, opens: Iterable[SoftSet],
 
 def validate_topology(sig: SpaceSignature, opens: Iterable[SoftSet],
                       absolute: SoftSet | None = None) -> SoftTopology:
-    """Validate the axioms and return the space; raises InvalidTopology."""
-    opens = tuple(opens)
-    violation = check_topology(sig, opens, absolute)
-    if violation is not None:
-        raise InvalidTopology(violation)
+    """The space on a candidate family; raises InvalidTopology as the constructor does."""
     return SoftTopology(sig, opens, absolute)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from softtopo import (
     SoftSet,
     classify_map,
     discrete,
+    enumerate_topologies,
     image,
     indiscrete,
     is_semiopen,
@@ -16,7 +18,10 @@ from softtopo import (
     parse_signature,
     preimage,
     save_space,
+    scss_definitional,
+    soss_definitional,
 )
+from softtopo.explorer import auto_signature
 
 from .conftest import SIG21, SIG32
 
@@ -131,6 +136,49 @@ def test_counterwitness_refails(example_space):
         w = c.counterwitnesses["irresolute"]
         assert is_semiopen(tgt, w)[0]
         assert not is_semiopen(src, preimage(COLLAPSE, w))[0]
+
+
+def _first_failing(family, fails):
+    return next((m for m in family if fails(m)), None)
+
+
+def test_counterwitness_is_the_first_failing_member_of_its_family():
+    # every map between every pair of spaces of up to 2 bits; the reference
+    # is a plain ascending scan of each flag's family over the oracle families
+    spaces = [t for n, m in ((1, 1), (2, 1), (1, 2))
+              for t in enumerate_topologies(auto_signature(n, m))]
+    seen = 0
+    for t_src, t_tgt in itertools.product(spaces, spaces):
+        src, tgt = t_src.signature, t_tgt.signature
+        opens_src, opens_tgt = list(t_src.open_masks), list(t_tgt.open_masks)
+        open_set_src = set(opens_src)
+        soss_src = {g.mask for g in soss_definitional(t_src)}
+        soss_tgt = [g.mask for g in soss_definitional(t_tgt)]
+        soss_tgt_set = set(soss_tgt)
+        scss_tgt = {g.mask for g in scss_definitional(t_tgt)}
+        closed_src = sorted(src.full_mask ^ o for o in opens_src)
+        for pm in itertools.product(range(tgt.n), repeat=src.n):
+            for qm in itertools.product(range(tgt.m), repeat=src.m):
+                f = SoftFunction(src, tgt, pm, qm)
+                want = {
+                    "continuous": _first_failing(
+                        opens_tgt, lambda o: f.preimage_mask(o) not in open_set_src),
+                    "semicontinuous": _first_failing(
+                        opens_tgt, lambda o: f.preimage_mask(o) not in soss_src),
+                    "irresolute": _first_failing(
+                        soss_tgt, lambda s: f.preimage_mask(s) not in soss_src),
+                    "semiopen_map": _first_failing(
+                        opens_src, lambda o: f.image_mask(o) not in soss_tgt_set),
+                    "semiclosed_map": _first_failing(
+                        closed_src, lambda c: f.image_mask(c) not in scss_tgt),
+                }
+                c = classify_map(f, t_src, t_tgt)
+                got = {k: w.mask for k, w in c.counterwitnesses.items()}
+                assert got == {k: m for k, m in want.items() if m is not None}, (pm, qm)
+                for flag in c.FLAGS:
+                    assert getattr(c, flag) == (want[flag] is None), (flag, pm, qm)
+                seen += 1
+    assert seen == 217
 
 
 def test_surjectivity_flags():

@@ -8,6 +8,7 @@ import pytest
 from softtopo import (
     BitCapExceeded,
     InvalidTopology,
+    SignatureMismatch,
     SoftSet,
     SoftTopology,
     check_topology,
@@ -44,6 +45,38 @@ def test_missing_union_is_reported():
     assert len(violation.witnesses) == 2
     with pytest.raises(InvalidTopology):
         validate_topology(SIG31, fam)
+
+
+# one candidate family per violation code: (absolute mask or None, member masks)
+VIOLATIONS31 = {
+    "carrier": (0b011, (0, 0b011, 0b100)),
+    "missing-null": (None, (0b011, 0b111)),
+    "missing-absolute": (None, (0, 0b001)),
+    "union": (None, (0, 0b111, 0b100, 0b010)),
+    # three cells, {000, 011, 110, 111}: 011 ∩ 110 = 010 is missing
+    "intersection": (None, (0, 0b011, 0b110, 0b111)),
+}
+
+
+@pytest.mark.parametrize("code", sorted(VIOLATIONS31))
+def test_constructor_rejects_each_violation(code):
+    abs_mask, masks = VIOLATIONS31[code]
+    absolute = None if abs_mask is None else SoftSet(SIG31, abs_mask)
+    fam = [SoftSet(SIG31, m) for m in masks]
+    violation = check_topology(SIG31, fam, absolute)
+    assert violation is not None and violation.code == code
+    for build in (SoftTopology, validate_topology):
+        with pytest.raises(InvalidTopology) as exc:
+            build(SIG31, fam, absolute)
+        assert str(exc.value) == str(violation)
+        assert exc.value.violation == violation
+
+
+def test_constructor_rejects_an_absolute_of_another_signature():
+    fam = [SoftSet(SIG31, 0), SoftSet(SIG31, SIG31.full_mask)]
+    for build in (SoftTopology, validate_topology):
+        with pytest.raises(SignatureMismatch):
+            build(SIG31, fam, make_absolute(SIG21))
 
 
 def test_boundary_members_required():
@@ -92,7 +125,10 @@ def test_open_family_representation():
         carrier = SoftSet(base.signature, base.signature.full_mask >> 1)
         for t in (base, subspace(base, carrier)):
             assert list(t.open_masks) == sorted(t.open_masks)
-            assert t.open_mask_set == set(t.open_masks)
+            members = set(t.open_masks)
+            for g in t.lattice():
+                assert t.is_open(g) == (g.mask in members)
+                assert t.is_closed(g) == (t.absolute.mask ^ g.mask in members)
             assert [o.mask for o in t.opens] == list(t.open_masks)
             assert t.opens is t.opens
             parts = [t.signature.key(), ",".join(o.encoding() for o in t.opens)]
@@ -200,13 +236,13 @@ def test_from_subbasis_is_the_smallest_topology_holding_its_seeds():
     # oracle: the intersection of every topology on the signature holding the seeds
     rng = random.Random(2026)
     for sig in (SIG21, SIG31, SIG22):
-        families = [t.open_mask_set for t in enumerate_topologies(sig)]
+        families = [frozenset(t.open_masks) for t in enumerate_topologies(sig)]
         lattice = range(1 << sig.bits)
         seed_families = [()] + [tuple(rng.sample(lattice, rng.randint(1, 4))) for _ in range(150)]
         for seeds in seed_families:
             oracle = frozenset.intersection(*(f for f in families if f.issuperset(seeds)))
             t = from_subbasis(sig, [SoftSet(sig, m) for m in seeds])
-            assert t.open_mask_set == oracle, (sig.key(), seeds)
+            assert frozenset(t.open_masks) == oracle, (sig.key(), seeds)
 
 
 def test_from_subbasis_cap_bounds_the_family_size():
