@@ -82,15 +82,6 @@ BUILTIN_SPACES = (
 # --- evaluation contexts -------------------------------------------------------
 
 
-def _submasks_asc(full: int) -> Iterator[int]:
-    s = 0
-    while True:
-        yield s
-        if s == full:
-            return
-        s = (s - full) & full
-
-
 class SpaceCtx:
     """One space under evaluation, with shared caches and seeded sampling."""
 
@@ -163,7 +154,7 @@ class SpaceCtx:
         return got
 
     def lat(self) -> Iterator[int]:
-        return _submasks_asc(self.full)
+        return core.submasks(self.full)
 
     def interior(self, m: int) -> int:
         return kernels.interior_mask(m, self.t.basis)
@@ -419,7 +410,7 @@ def _t2_7(ctx: SpaceCtx) -> Iterator[Check]:
     for g in ctx.tab.soss_masks:
         free = ctx.closure(g) & ~g
         if free.bit_count() <= 10:
-            mids = _submasks_asc(free)
+            mids = core.submasks(free)
         else:
             rng = ctx.rng("T2.7", g)
             mids = (rng.below(free + 1) & free for _ in range(256))
@@ -439,7 +430,7 @@ def _t2_8(ctx: SpaceCtx) -> Iterator[Check]:
         base = ctx.interior(f)
         free = f & ~base
         if free.bit_count() <= 10:
-            mids = _submasks_asc(free)
+            mids = core.submasks(free)
         else:
             rng = ctx.rng("T2.8", f)
             mids = (rng.below(free + 1) & free for _ in range(256))
@@ -514,7 +505,7 @@ def _sub_pairs(ctx: SpaceCtx, tag: str) -> Iterator[tuple[int, int]]:
     bits = ctx.full.bit_count()
     if bits <= 6:
         for k in ctx.lat():
-            for g in _submasks_asc(k):
+            for g in core.submasks(k):
                 yield g, k
     else:
         rng = ctx.rng(tag)
@@ -790,7 +781,7 @@ def _r3_2_b_conv(ctx: TripleCtx) -> Iterator[Check]:
 def _side_lattice(ctx: TripleCtx, side: SpaceCtx, tag: str) -> Iterator[int]:
     """Every set of one side's lattice up to 8 bits, else 256 draws from the triple's rng."""
     if side.full.bit_count() <= 8:
-        return _submasks_asc(side.full)
+        return core.submasks(side.full)
     rng = ctx.rng(tag)
     return iter([rng.below(side.full + 1) & side.full for _ in range(256)])
 
@@ -993,13 +984,8 @@ def _r4_3(ctx: SpaceCtx) -> Iterator[Check]:
 
 
 def _fip_literal(masks: Sequence[int], full: int) -> bool:
-    # literal FIP: every nonempty subfamily meets, by subset DP; a fold above 12 members
+    # literal FIP: every nonempty subfamily meets, by subset DP (callers pass at most 9 members)
     k = len(masks)
-    if k > 12:
-        total = full
-        for m in masks:
-            total &= m
-        return total != 0
     inter = [full] * (1 << k)
     for s in range(1, 1 << k):
         low = (s & -s).bit_length() - 1
@@ -1214,7 +1200,7 @@ def _t5_4(ctx: SpaceCtx) -> Iterator[Check]:
             rng = ctx.rng("T5.4", v.mask)
             mids = [rng.below(free + 1) & free for _ in range(8)]
         else:
-            mids = list(_submasks_asc(free))
+            mids = list(core.submasks(free))
         for extra in mids:
             k = SoftSet(ctx.t.signature, v.mask | extra)
             ok = find_semiseparation(ctx.sub(k).t) is None

@@ -309,12 +309,28 @@ def point_in(p: SoftPoint, g: SoftSet, equality: bool = False) -> bool:
     return (g.mask >> shift) & ((1 << g.signature.n) - 1) == (p.bit >> shift)
 
 
-def enumerate_soft_sets(sig: SpaceSignature, cap: int | None = None) -> Iterator[SoftSet]:
-    """All 2**bits soft sets in ascending encoding order (null first, absolute last)."""
-    cap = bit_cap() if cap is None else cap
-    if sig.bits > cap:
-        raise BitCapExceeded(f"{sig.bits}-bit lattice exceeds the {cap}-bit cap")
-    for mask in range(1 << sig.bits):
+def submasks(full: int) -> Iterator[int]:
+    """Every submask of `full` in ascending order (0 first, `full` last).
+
+    This is the one lattice walk: it raises BitCapExceeded when `full` has
+    more cells than `bit_cap()`.
+    """
+    cells = full.bit_count()
+    cap = bit_cap()
+    if cells > cap:
+        raise BitCapExceeded(f"lattice scan over {cells} cells exceeds the {cap}-bit cap")
+    s = 0
+    while True:
+        yield s
+        if s == full:
+            return
+        s = (s - full) & full
+
+
+def enumerate_soft_sets(sig: SpaceSignature) -> Iterator[SoftSet]:
+    """All 2**bits soft sets in ascending encoding order (null first, absolute
+    last); the walk refuses a signature above the bit cap."""
+    for mask in submasks(sig.full_mask):
         yield SoftSet(sig, mask)
 
 

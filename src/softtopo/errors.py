@@ -30,7 +30,8 @@ class InvalidTopology(SoftTopoError):
 
 
 class CorpusError(SoftTopoError):
-    """A corpus directory is missing, corrupt, or inconsistent with its manifest."""
+    """A corpus directory is missing, corrupt, inconsistent with its manifest,
+    or cannot be written; so is a witness directory or a space file."""
 
 
 class InternalAssertionError(SoftTopoError):

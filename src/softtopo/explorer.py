@@ -212,22 +212,25 @@ def _instance_filename(t: SoftTopology) -> str:
 
 def export_corpus(corpus: Corpus, path: str) -> str:
     """Write manifest + one space file per instance; returns the fingerprint."""
-    os.makedirs(path, exist_ok=True)
-    names = []
-    for t in corpus.instances:
-        name = _instance_filename(t)
-        names.append(name)
-        save_space(t, os.path.join(path, name))
-    manifest = {
-        "tool": TOOL,
-        "spec": None if corpus.spec is None else corpus.spec.to_obj(),
-        "count": len(corpus.instances),
-        "fingerprint": corpus.fingerprint,
-        "instances": names,
-    }
-    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    try:
+        os.makedirs(path, exist_ok=True)
+        names = []
+        for t in corpus.instances:
+            name = _instance_filename(t)
+            names.append(name)
+            save_space(t, os.path.join(path, name))
+        manifest = {
+            "tool": TOOL,
+            "spec": None if corpus.spec is None else corpus.spec.to_obj(),
+            "count": len(corpus.instances),
+            "fingerprint": corpus.fingerprint,
+            "instances": names,
+        }
+        with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise CorpusError(f"cannot write corpus {path}: {exc}")
     return corpus.fingerprint
 
 
@@ -336,11 +339,22 @@ TripleItem = tuple[str, SoftFunction, SoftTopology, SoftTopology]
 
 
 def _space_items(corpus: Corpus) -> list[SpaceItem]:
+    """Builtins then corpus instances; a space above the bit cap is refused
+    here, before any claim walks its lattice."""
+    cap = bit_cap()
+
+    def admit(name: str, t: SoftTopology) -> SoftTopology:
+        cells = t.absolute.mask.bit_count()
+        if cells > cap:
+            raise BitCapExceeded(f"{name} has {cells} cells, above the {cap}-bit cap")
+        return t
+
     # pinned reference spaces go first so their witnesses survive the cap
-    items = [(label, build()) for label, build in BUILTIN_SPACES]
+    items = [(label, admit(label, build())) for label, build in BUILTIN_SPACES]
     for i, t in enumerate(corpus.instances):
         if not t.absolute.is_absolute:
             raise LiteralError("only whole spaces have a file form; export the base space")
+        admit(f"corpus[{i}]", t)
         digest = hashlib.sha256(t.encoding().encode("utf-8")).hexdigest()[:8]
         items.append((f"corpus[{i}]:{digest}", t))
     return items
@@ -531,28 +545,31 @@ def export_witnesses(result: SuiteResult, root: str) -> int:
     """Write refuted-claim bundles under <root>/witnesses/<claim_id>/<n>/."""
     base = os.path.join(root, "witnesses")
     written = 0
-    for r in result.records:
-        for n, bundle in enumerate(r.witnesses):
-            d = os.path.join(base, r.claim_id, str(n))
-            os.makedirs(d, exist_ok=True)
-            meta = {
-                "tool": TOOL,
-                "claim": bundle["claim"],
-                "label": bundle["label"],
-                "kind": r.kind,
-                "statement": r.statement,
-            }
-            with open(os.path.join(d, "claim.json"), "w", encoding="utf-8") as fh:
-                json.dump(meta, fh, indent=1)
-                fh.write("\n")
-            with open(os.path.join(d, "payload.json"), "w", encoding="utf-8") as fh:
-                json.dump(bundle["payload"], fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            kind_file = "space.json" if "space" in bundle else "function.json"
-            with open(os.path.join(d, kind_file), "w", encoding="utf-8") as fh:
-                json.dump(bundle.get("space") or bundle.get("function"), fh, indent=1)
-                fh.write("\n")
-            written += 1
+    try:
+        for r in result.records:
+            for n, bundle in enumerate(r.witnesses):
+                d = os.path.join(base, r.claim_id, str(n))
+                os.makedirs(d, exist_ok=True)
+                meta = {
+                    "tool": TOOL,
+                    "claim": bundle["claim"],
+                    "label": bundle["label"],
+                    "kind": r.kind,
+                    "statement": r.statement,
+                }
+                with open(os.path.join(d, "claim.json"), "w", encoding="utf-8") as fh:
+                    json.dump(meta, fh, indent=1)
+                    fh.write("\n")
+                with open(os.path.join(d, "payload.json"), "w", encoding="utf-8") as fh:
+                    json.dump(bundle["payload"], fh, indent=1, sort_keys=True)
+                    fh.write("\n")
+                kind_file = "space.json" if "space" in bundle else "function.json"
+                with open(os.path.join(d, kind_file), "w", encoding="utf-8") as fh:
+                    json.dump(bundle.get("space") or bundle.get("function"), fh, indent=1)
+                    fh.write("\n")
+                written += 1
+    except OSError as exc:
+        raise CorpusError(f"cannot write witnesses under {root}: {exc}")
     return written
 
 

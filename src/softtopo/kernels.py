@@ -16,11 +16,18 @@ name: shared loops go through the private `_interior`/`_closure`. The
 benchmark tracer wraps each public kernel and rebinds every name bound to
 it, this module's own included, so one such call per lattice mask would
 turn a single table scan into thousands of recorded kernel calls.
+
+The table kernels walk the lattice with `core.submasks`, which refuses a
+`full` above the bit cap. They call it through the module attribute so
+that the walk is never bound here, where the tracer would take it for a
+kernel.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from . import core
 
 
 def _interior(g: int, basis: Sequence[int]) -> int:
@@ -40,17 +47,6 @@ def _closure(g: int, basis: Sequence[int], full: int) -> int:
     return acc
 
 
-def submasks(full: int) -> list[int]:
-    """All submasks of `full` in ascending order (0 first, `full` last)."""
-    out = []
-    s = 0
-    while True:
-        out.append(s)
-        if s == full:
-            return out
-        s = (s - full) & full
-
-
 def interior_mask(g: int, basis: Sequence[int]) -> int:
     """Union of the basis members contained in g: the interior of g."""
     return _interior(g, basis)
@@ -62,25 +58,13 @@ def closure_mask(g: int, basis: Sequence[int], full: int) -> int:
 
 
 def ssint_table(basis: Sequence[int], full: int) -> dict[int, int]:
-    """Semi-interior of every submask of `full`."""
-    table = {}
-    s = 0
-    while True:
-        table[s] = s & _closure(_interior(s, basis), basis, full)
-        if s == full:
-            return table
-        s = (s - full) & full
+    """Semi-interior of every submask of `full`; raises BitCapExceeded above the cap."""
+    return {s: s & _closure(_interior(s, basis), basis, full) for s in core.submasks(full)}
 
 
 def sscl_table(basis: Sequence[int], full: int) -> dict[int, int]:
-    """Semi-closure of every submask of `full`."""
-    table = {}
-    s = 0
-    while True:
-        table[s] = s | _interior(_closure(s, basis, full), basis)
-        if s == full:
-            return table
-        s = (s - full) & full
+    """Semi-closure of every submask of `full`; raises BitCapExceeded above the cap."""
+    return {s: s | _interior(_closure(s, basis, full), basis) for s in core.submasks(full)}
 
 
 def check_family(masks: list[int], full: int) -> tuple[str, int, int] | None:
@@ -161,8 +145,6 @@ def min_cover(universe: int, masks: list[int]) -> tuple[int, ...] | None:
             gain = (masks[i] & uncovered).bit_count()
             if gain > max_gain:
                 max_gain = gain
-        if max_gain == 0:
-            return
         need = -(-uncovered.bit_count() // max_gain)  # ceil division
         if len(chosen) + need >= best_len:
             return

@@ -13,8 +13,9 @@ fast path    closed-form formulas on interior/closure (kernel-backed, over
 
 oracle       naive definitional witness searches and lattice scans over
              the whole open family, kept in plain Python with no kernel
-             calls so the two routes share neither code nor input. The
-             claim suite asserts exact agreement.
+             calls so the two routes share no input and no code but the
+             lattice walk `core.submasks`. The claim suite asserts exact
+             agreement.
 
 Per-space results are cached on the topology object.
 """
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernels
-from .core import SoftSet, bit_cap
-from .errors import BitCapExceeded
+from .core import SoftSet, submasks
 from .topology import SoftTopology
 
 
@@ -83,18 +83,16 @@ def _semiclosed_witness_mask(mask: int, open_masks: list[int], full: int) -> int
 
 
 class SemiTables:
-    """Lazy per-space tables for both routes; cache via tables()."""
+    """Lazy per-space tables for both routes; cache via tables().
+
+    Every table walks the lattice under the absolute with `core.submasks`,
+    so building one raises BitCapExceeded above the bit cap. The oracle
+    shares only that walk with the fast route and makes no kernel call.
+    """
 
     def __init__(self, t: SoftTopology):
         self.t = t
         self.full = t.absolute.mask
-
-    def _check_cap(self):
-        size = self.full.bit_count()
-        if size > bit_cap():
-            raise BitCapExceeded(
-                f"lattice scan over {size} cells exceeds the {bit_cap()}-bit cap"
-            )
 
     # fast route
 
@@ -123,45 +121,29 @@ class SemiTables:
 
     @cached_property
     def ssint(self) -> dict[int, int]:
-        self._check_cap()
         return kernels.ssint_table(self.t.basis, self.full)
 
     @cached_property
     def sscl(self) -> dict[int, int]:
-        self._check_cap()
         return kernels.sscl_table(self.t.basis, self.full)
 
     # oracle route
 
     @cached_property
     def oracle_soss_masks(self) -> list[int]:
-        self._check_cap()
         # closures of the witness candidates once up front, then a plain scan
         opens = self.t.open_masks
         cl = [(h, _naive_closure(h, opens, self.full)) for h in opens]
-        out = []
-        s = 0
-        while True:
-            if any(h & ~s == 0 and s & ~c == 0 for h, c in cl):
-                out.append(s)
-            if s == self.full:
-                return out
-            s = (s - self.full) & self.full
+        return [s for s in submasks(self.full)
+                if any(h & ~s == 0 and s & ~c == 0 for h, c in cl)]
 
     @cached_property
     def oracle_scss_masks(self) -> list[int]:
-        self._check_cap()
         opens = self.t.open_masks
         closed = sorted(self.full ^ o for o in opens)
         ik = [(k, _naive_interior(k, opens)) for k in closed]
-        out = []
-        s = 0
-        while True:
-            if any(s & ~k == 0 and i & ~s == 0 for k, i in ik):
-                out.append(s)
-            if s == self.full:
-                return out
-            s = (s - self.full) & self.full
+        return [s for s in submasks(self.full)
+                if any(s & ~k == 0 and i & ~s == 0 for k, i in ik)]
 
 
 def tables(t: SoftTopology) -> SemiTables:

@@ -21,8 +21,9 @@ from .core import (
     make_absolute,
     parse_set_literal,
     parse_signature,
+    submasks,
 )
-from .errors import BitCapExceeded, InvalidTopology, LiteralError, SignatureMismatch
+from .errors import BitCapExceeded, CorpusError, InvalidTopology, LiteralError, SignatureMismatch
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,9 @@ class SoftTopology:
         return SoftSet(self.signature, m)
 
     def lattice(self) -> Iterator[SoftSet]:
-        """Every soft set under the absolute, in ascending encoding order."""
-        for m in kernels.submasks(self.absolute.mask):
+        """Every soft set under the absolute, in ascending encoding order;
+        raises BitCapExceeded when the absolute is above the bit cap."""
+        for m in submasks(self.absolute.mask):
             yield SoftSet(self.signature, m)
 
     def to_obj(self) -> dict:
@@ -216,11 +218,9 @@ def indiscrete(sig: SpaceSignature) -> SoftTopology:
     return SoftTopology._from_masks(sig, (0, sig.full_mask))
 
 
-def discrete(sig: SpaceSignature, cap: int | None = None) -> SoftTopology:
-    cap = bit_cap() if cap is None else cap
-    if sig.bits > cap:
-        raise BitCapExceeded(f"discrete space on {sig.bits} bits exceeds the {cap}-bit cap")
-    return SoftTopology._from_masks(sig, range(1 << sig.bits))
+def discrete(sig: SpaceSignature) -> SoftTopology:
+    """Every soft set open; the lattice walk refuses a signature above the bit cap."""
+    return SoftTopology._from_masks(sig, submasks(sig.full_mask))
 
 
 def from_subbasis(sig: SpaceSignature, seeds: Iterable[SoftSet],
@@ -304,6 +304,9 @@ def load_space(path: str) -> SoftTopology:
 
 
 def save_space(t: SoftTopology, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(t.to_obj(), fh, indent=1, sort_keys=False)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(t.to_obj(), fh, indent=1, sort_keys=False)
+            fh.write("\n")
+    except OSError as exc:
+        raise CorpusError(f"cannot write space file {path}: {exc}")

@@ -1,6 +1,6 @@
 import pytest
 
-from softtopo import CorpusSpec, build_corpus, discrete, run_claim_suite
+from softtopo import Corpus, CorpusSpec, build_corpus, discrete, from_subbasis, run_claim_suite
 from softtopo import claims
 from softtopo.claims import (
     ASSERTED_IDS,
@@ -14,6 +14,8 @@ from softtopo.claims import (
     replay_witness,
 )
 from softtopo.core import SoftSet
+from softtopo.explorer import auto_signature
+from softtopo.prng import SplitMix64
 from softtopo.semi import tables
 
 from .conftest import SIG32, example_topology
@@ -240,3 +242,46 @@ def test_core_invariants_test_the_soft_set_operators(monkeypatch, broken_or):
     monkeypatch.setattr(SoftSet, "__or__", broken_or)
     for c in ids:
         assert evaluate_claim(REGISTRY[c], ctx)[1], c
+
+
+def _dense_block_space(n, m, block, seed):
+    """Seeded space in which every nonnull open holds the top `block` cells,
+    which form an open set: every set holding the block is semiopen, so the
+    semiopen and semiclosed families both top 2^(cells-block)."""
+    sig = auto_signature(n, m)
+    b = sig.full_mask ^ (sig.full_mask >> block)
+    rng = SplitMix64(seed)
+    seeds = [SoftSet(sig, b)] + [SoftSet(sig, b | rng.below(sig.full_mask + 1)) for _ in range(3)]
+    return from_subbasis(sig, seeds)
+
+
+def test_registry_runs_its_sampled_branches():
+    # 7 cells sample the lattice pairs, 9 the triple-side lattices and 12
+    # the semiconnected carriers of T5.4; the seminormal characterization
+    # samples on all three
+    def corpus():
+        return Corpus([_dense_block_space(n, m, k, 7) for n, m, k in ((7, 1, 1), (3, 3, 2), (4, 3, 3))])
+
+    for t in corpus().instances:
+        assert len(t.open_masks) < 1 << t.signature.bits
+        tab = tables(t)
+        assert len(tab.soss_masks) * len(tab.scss_masks) > 4096
+    one = run_claim_suite(corpus(), jobs=1, cross_triples=2)
+    two = run_claim_suite(corpus(), jobs=2, cross_triples=2)
+    assert not one.asserted_failures
+    assert one.to_obj() == two.to_obj()
+
+
+def test_t2_7_and_t2_8_sample_gaps_above_ten_cells():
+    # an open dense cell: its closure gap and its complement's interior gap
+    # both have 11 cells, so each claim draws 256 sets there
+    t = _dense_block_space(4, 3, 1, 7)
+    ctx = SpaceCtx(t, "dense")
+    gaps = [(ctx.closure(g) & ~g).bit_count() for g in ctx.tab.soss_masks]
+    assert gaps.count(11) == 1
+    want = sum(1 << k if k <= 10 else 256 for k in gaps)
+    assert evaluate_claim(REGISTRY["T2.7"], ctx) == (want, [])
+    gaps = [(f & ~ctx.interior(f)).bit_count() for f in ctx.tab.scss_masks]
+    assert gaps.count(11) == 1
+    want = sum(1 << k if k <= 10 else 256 for k in gaps)
+    assert evaluate_claim(REGISTRY["T2.8"], ctx) == (want, [])

@@ -437,3 +437,23 @@ def test_labels_of_the_wrong_type_are_invalid_input(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: literal: {message}\n"
+
+
+def test_gen_into_a_regular_file_is_a_corpus_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(capsys, ["gen", "--universe", "1", "--params", "1", "--exhaustive",
+                                  "-o", str(taken), "--no-banner"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: corpus: cannot write corpus {taken}: ")
+    assert err.count("\n") == 1
+
+
+def test_suite_witnesses_into_a_regular_file_is_a_corpus_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(capsys, ["suite", "builtin:example", "--witness-dir", str(taken),
+                                  "--no-banner"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: corpus: cannot write witnesses under {taken}: ")
+    assert err.count("\n") == 1

@@ -7,6 +7,7 @@ import pytest
 
 from softtopo import (
     BitCapExceeded,
+    CorpusError,
     InvalidTopology,
     SignatureMismatch,
     SoftSet,
@@ -189,7 +190,7 @@ def _union_closure(masks):
 def test_basis_is_the_distinct_minimal_neighbourhoods():
     sig16 = parse_signature({"universe": ["h1", "h2", "h3", "h4"],
                              "parameters": ["e1", "e2", "e3", "e4"]})
-    disc, indisc = discrete(sig16, cap=16), indiscrete(sig16)
+    disc, indisc = discrete(sig16), indiscrete(sig16)
     assert disc.basis == tuple(1 << x for x in range(16))
     assert indisc.basis == (sig16.full_mask,)
     for t in [disc, indisc] + small_subspaces():
@@ -274,6 +275,12 @@ def test_space_file_round_trip(tmp_path, example_space):
     save_space(example_space, path)
     back = load_space(path)
     assert back.encoding() == example_space.encoding()
+
+
+def test_space_file_write_failure_is_a_corpus_error(tmp_path, example_space):
+    path = str(tmp_path / "missing" / "space.json")
+    with pytest.raises(CorpusError, match=f"cannot write space file {path}: "):
+        save_space(example_space, path)
 
 
 def test_space_file_rejects_invalid(tmp_path):
