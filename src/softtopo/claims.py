@@ -157,10 +157,10 @@ class SpaceCtx:
         return core.submasks(self.full)
 
     def interior(self, m: int) -> int:
-        return kernels.interior_mask(m, self.t.basis)
+        return kernels.interior_mask(m, self.t.closure_table, self.full)
 
     def closure(self, m: int) -> int:
-        return kernels.closure_mask(m, self.t.basis, self.full)
+        return kernels.closure_mask(m, self.t.closure_table, self.full)
 
     def lit(self, m: int) -> dict:
         return SoftSet(self.t.signature, m).to_literal()
@@ -1234,7 +1234,8 @@ def _t5_6(ctx: TripleCtx) -> Iterator[Check]:
     simg = subspace(ctx.t_tgt, SoftSet(ctx.t_tgt.signature, m))
     bad = next(
         (o for o in simg.open_masks
-         if o and o != m and kernels.interior_mask(m & ~o, simg.basis) == m & ~o),
+         if o and o != m
+         and kernels.interior_mask(m & ~o, simg.closure_table, m) == m & ~o),
         None,
     )
     yield bad is None, None if bad is None else {"set": ctx.tgt.lit(bad)}

@@ -129,7 +129,8 @@ def parse_signature(obj) -> SpaceSignature:
 
 
 def _require_same_signature(a: SpaceSignature, b: SpaceSignature) -> None:
-    if a != b:
+    # most sets share their space's signature object: skip the field compare
+    if a is not b and a != b:
         raise SignatureMismatch(f"signatures differ: {a.key()} vs {b.key()}")
 
 

@@ -2,20 +2,30 @@
 
 Every function here treats soft sets as int masks inside a fixed lattice;
 `full` is the mask of the space's absolute set (the whole lattice for a
-plain space, the carrier for a subspace) and `basis` is any basis of the
-topology as masks under `full`: interior and closure over a basis equal
-those over the whole open family. Callers pass `SoftTopology.basis`.
+plain space, the carrier for a subspace). Only fast paths live here. The
+per-set route is `interior_mask` and `closure_mask`, which softtopo.semi
+composes into the semi operators. The definitional witness-search oracles
+stay in softtopo.semi so that the two routes share no code.
 
-Only fast paths live here. The per-set route is `interior_mask` and
-`closure_mask`, which softtopo.semi composes into the semi operators. The
-definitional witness-search oracles stay in softtopo.semi so that the two
-routes share no code.
+The per-set kernels read a closure table, built once per space by
+`closure_table` from the minimal open neighbourhood N(x) of each cell x.
+A finite space is determined by its N(x): the opens are exactly the
+unions of the N(x), so every family of opens with the same N(x) (the
+whole family, a basis, or the space a subbasis generates) has the same
+interior and closure. In such a space cl{y} = {x : y in N(x)}, and
+closure distributes over unions, so cl(g) is the union of cl{y} over the
+cells y of g. The table holds one tuple per 8-bit chunk of the
+absolute's bit positions; entry v of chunk c is the union of cl{y} over
+the cells y of v << 8c, so a closure costs one lookup per chunk: the
+"Four Russians" trick (Arlazarov, Dinic, Kronrod & Faradzev, 1970).
+Interior follows by duality: int(g) = full - cl(full - g).
 
 A public kernel never calls another public kernel through its module
-name: shared loops go through the private `_interior`/`_closure`. The
-benchmark tracer wraps each public kernel and rebinds every name bound to
-it, this module's own included, so one such call per lattice mask would
-turn a single table scan into thousands of recorded kernel calls.
+name: the table scans share the private `_lookup`, and the point kernels
+repeat its loop so that a per-set query costs one call. The benchmark tracer
+wraps each public kernel and rebinds every name bound to it, this
+module's own included, so one such call per lattice mask would turn a
+single table scan into thousands of recorded kernel calls.
 
 The table kernels walk the lattice with `core.submasks`, which refuses a
 `full` above the bit cap. They call it through the module attribute so
@@ -29,42 +39,70 @@ from typing import Sequence
 
 from . import core
 
+ClosureTable = tuple[tuple[int, ...], ...]
 
-def _interior(g: int, basis: Sequence[int]) -> int:
+
+def closure_table(nbhds: Sequence[int], full: int) -> ClosureTable:
+    """The closure table of a space: `nbhds` holds N(x) for each cell x of
+    `full`, in ascending cell order."""
+    width = full.bit_length()
+    # up[y] = cl{y}: the cells x whose N(x) holds y
+    up = [0] * width
+    cells = (x for x in range(width) if full >> x & 1)
+    for x, nb in zip(cells, nbhds):
+        while nb:
+            low = nb & -nb
+            up[low.bit_length() - 1] |= 1 << x
+            nb ^= low
+    table = []
+    for base in range(0, width, 8):
+        chunk = [0] * (1 << min(8, width - base))
+        for v in range(1, len(chunk)):
+            low = v & -v
+            chunk[v] = chunk[v ^ low] | up[base + low.bit_length() - 1]
+        table.append(tuple(chunk))
+    return tuple(table)
+
+
+def _lookup(g: int, table: ClosureTable) -> int:
+    """Closure of a submask g of the absolute."""
     acc = 0
-    for o in basis:
-        if o & ~g == 0:
-            acc |= o
+    for chunk in table:
+        acc |= chunk[g & 255]
+        g >>= 8
     return acc
 
 
-def _closure(g: int, basis: Sequence[int], full: int) -> int:
-    acc = full
-    for o in basis:
-        c = full ^ o
-        if g & ~c == 0:
-            acc &= c
+def interior_mask(g: int, table: ClosureTable, full: int) -> int:
+    """The interior of g: `full` minus the closure of its complement."""
+    h = full & ~g
+    acc = 0
+    for chunk in table:
+        acc |= chunk[h & 255]
+        h >>= 8
+    return full & ~acc
+
+
+def closure_mask(g: int, table: ClosureTable, full: int) -> int:
+    """The closure of g: the union of one table entry per chunk of g ∩ full."""
+    g &= full
+    acc = 0
+    for chunk in table:
+        acc |= chunk[g & 255]
+        g >>= 8
     return acc
 
 
-def interior_mask(g: int, basis: Sequence[int]) -> int:
-    """Union of the basis members contained in g: the interior of g."""
-    return _interior(g, basis)
-
-
-def closure_mask(g: int, basis: Sequence[int], full: int) -> int:
-    """`full` minus the basis members disjoint from g: the closure of g."""
-    return _closure(g, basis, full)
-
-
-def ssint_table(basis: Sequence[int], full: int) -> dict[int, int]:
+def ssint_table(table: ClosureTable, full: int) -> dict[int, int]:
     """Semi-interior of every submask of `full`; raises BitCapExceeded above the cap."""
-    return {s: s & _closure(_interior(s, basis), basis, full) for s in core.submasks(full)}
+    return {s: s & _lookup(full & ~_lookup(full ^ s, table), table)
+            for s in core.submasks(full)}
 
 
-def sscl_table(basis: Sequence[int], full: int) -> dict[int, int]:
+def sscl_table(table: ClosureTable, full: int) -> dict[int, int]:
     """Semi-closure of every submask of `full`; raises BitCapExceeded above the cap."""
-    return {s: s | _interior(_closure(s, basis, full), basis) for s in core.submasks(full)}
+    return {s: s | (full & ~_lookup(full & ~_lookup(s, table), table))
+            for s in core.submasks(full)}
 
 
 def check_family(masks: list[int], full: int) -> tuple[str, int, int] | None:

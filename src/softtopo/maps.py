@@ -159,9 +159,10 @@ def classify_map(f: SoftFunction, t_src: SoftTopology, t_tgt: SoftTopology) -> M
 
     continuous = True
     semicontinuous = True
+    src_table, src_full = t_src.closure_table, t_src.absolute.mask
     for o in t_tgt.basis:
         pre = f.preimage_mask(o)
-        if continuous and kernels.interior_mask(pre, t_src.basis) != pre:
+        if continuous and kernels.interior_mask(pre, src_table, src_full) != pre:
             continuous = False
             wit["continuous"] = SoftSet(f.target, o)
         if semicontinuous and pre not in src_tab.soss_set:

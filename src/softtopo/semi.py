@@ -4,8 +4,9 @@ A set is semiopen when it sits between some open set and that open set's
 closure, and semiclosed when it sits between some closed set's interior
 and that closed set. Two routes are implemented for every question:
 
-fast path    closed-form formulas on interior/closure (kernel-backed, over
-             the minimal basis N(x) of the space):
+fast path    closed-form formulas on interior/closure, each a few lookups
+             in the space's closure table, which is built from the
+             minimal open neighbourhoods N(x):
              semiopen  <=>  G inside closure(interior(G))
              semiclosed <=> interior(closure(G)) inside G
              ssint(G) = G ∩ closure(interior(G)) — largest semiopen inside G
@@ -121,11 +122,11 @@ class SemiTables:
 
     @cached_property
     def ssint(self) -> dict[int, int]:
-        return kernels.ssint_table(self.t.basis, self.full)
+        return kernels.ssint_table(self.t.closure_table, self.full)
 
     @cached_property
     def sscl(self) -> dict[int, int]:
-        return kernels.sscl_table(self.t.basis, self.full)
+        return kernels.sscl_table(self.t.closure_table, self.full)
 
     # oracle route
 
@@ -160,8 +161,9 @@ def tables(t: SoftTopology) -> SemiTables:
 def is_semiopen(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
     """Fast path; the witness (when true) is the set's interior."""
     t._inside(g)
-    i = kernels.interior_mask(g.mask, t.basis)
-    if g.mask & ~kernels.closure_mask(i, t.basis, t.absolute.mask):
+    table, full = t.closure_table, t.absolute.mask
+    i = kernels.interior_mask(g.mask, table, full)
+    if g.mask & ~kernels.closure_mask(i, table, full):
         return False, None
     return True, SoftSet(t.signature, i)
 
@@ -169,8 +171,9 @@ def is_semiopen(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
 def is_semiclosed(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
     """Fast path; the witness (when true) is the set's closure."""
     t._inside(g)
-    c = kernels.closure_mask(g.mask, t.basis, t.absolute.mask)
-    if kernels.interior_mask(c, t.basis) & ~g.mask:
+    table, full = t.closure_table, t.absolute.mask
+    c = kernels.closure_mask(g.mask, table, full)
+    if kernels.interior_mask(c, table, full) & ~g.mask:
         return False, None
     return True, SoftSet(t.signature, c)
 
@@ -210,15 +213,17 @@ def scss_definitional(t: SoftTopology) -> tuple[SoftSet, ...]:
 def ssint(t: SoftTopology, g: SoftSet) -> SoftSet:
     """Largest semiopen set inside g (fast path, no lattice scan)."""
     t._inside(g)
-    i = kernels.interior_mask(g.mask, t.basis)
-    return SoftSet(t.signature, g.mask & kernels.closure_mask(i, t.basis, t.absolute.mask))
+    table, full = t.closure_table, t.absolute.mask
+    i = kernels.interior_mask(g.mask, table, full)
+    return SoftSet(t.signature, g.mask & kernels.closure_mask(i, table, full))
 
 
 def sscl(t: SoftTopology, g: SoftSet) -> SoftSet:
     """Smallest semiclosed set containing g (fast path, no lattice scan)."""
     t._inside(g)
-    c = kernels.closure_mask(g.mask, t.basis, t.absolute.mask)
-    return SoftSet(t.signature, g.mask | kernels.interior_mask(c, t.basis))
+    table, full = t.closure_table, t.absolute.mask
+    c = kernels.closure_mask(g.mask, table, full)
+    return SoftSet(t.signature, g.mask | kernels.interior_mask(c, table, full))
 
 
 def ssint_definitional(t: SoftTopology, g: SoftSet) -> SoftSet:

@@ -51,8 +51,8 @@ class AxiomViolation:
         }
 
 
-def _minimal_basis(masks: Iterable[int], full: int) -> tuple[int, ...]:
-    """The distinct N(x) over the cells x of `full`, ascending: each is the
+def _neighbourhoods(masks: Iterable[int], full: int) -> list[int]:
+    """N(x) for each cell x of `full`, in ascending cell order: the
     intersection of `full` and every mask holding x."""
     cells = [x for x in range(full.bit_length()) if full >> x & 1]
     nbhds = [full] * len(cells)
@@ -60,7 +60,7 @@ def _minimal_basis(masks: Iterable[int], full: int) -> tuple[int, ...]:
         for i, x in enumerate(cells):
             if m >> x & 1:
                 nbhds[i] &= m
-    return tuple(sorted(set(nbhds)))
+    return nbhds
 
 
 class SoftTopology:
@@ -68,9 +68,9 @@ class SoftTopology:
 
     The constructor checks the family with `check_topology` and raises
     InvalidTopology on the first violated axiom; the factories build
-    valid families and skip the check. Openness and closedness are fixed
-    points of interior and closure over `basis`, the minimal
-    neighbourhoods N(x).
+    valid families and skip the check. Interior and closure are lookups
+    in `closure_table`, built with `basis` from the minimal neighbourhoods
+    N(x); openness and closedness are their fixed points.
     """
 
     __slots__ = ("signature", "absolute", "open_masks", "_cache")
@@ -99,7 +99,7 @@ class SoftTopology:
         self.absolute = make_absolute(signature) if absolute is None else absolute
         self.open_masks = tuple(sorted(set(masks)))
         # memos that live and die with this object: the opens view, basis,
-        # encoding, semi tables
+        # closure table, encoding, semi tables
         self._cache: dict = {}
 
     @property
@@ -116,8 +116,24 @@ class SoftTopology:
         """The distinct minimal open neighbourhoods N(x), ascending; built on first use."""
         basis = self._cache.get("basis")
         if basis is None:
-            basis = self._cache["basis"] = _minimal_basis(self.open_masks, self.absolute.mask)
+            basis = self._neighbourhood_fold()[0]
         return basis
+
+    @property
+    def closure_table(self) -> kernels.ClosureTable:
+        """The kernels' closure table of this space; built on first use."""
+        table = self._cache.get("closure_table")
+        if table is None:
+            table = self._neighbourhood_fold()[1]
+        return table
+
+    def _neighbourhood_fold(self) -> tuple[tuple[int, ...], kernels.ClosureTable]:
+        """One pass over the opens for N(x); caches `basis` and `closure_table`."""
+        full = self.absolute.mask
+        nbhds = _neighbourhoods(self.open_masks, full)
+        basis = self._cache["basis"] = tuple(sorted(set(nbhds)))
+        table = self._cache["closure_table"] = kernels.closure_table(nbhds, full)
+        return basis, table
 
     # -- identity ----------------------------------------------------------
 
@@ -143,7 +159,7 @@ class SoftTopology:
     # -- membership and complements ----------------------------------------
 
     def _inside(self, g: SoftSet) -> SoftSet:
-        if g.signature != self.signature:
+        if g.signature is not self.signature and g.signature != self.signature:
             raise SignatureMismatch("set bound to a different signature")
         if g.mask & ~self.absolute.mask:
             raise LiteralError("set lies outside the space's absolute set")
@@ -151,7 +167,7 @@ class SoftTopology:
 
     def is_open(self, g: SoftSet) -> bool:
         m = self._inside(g).mask
-        return kernels.interior_mask(m, self.basis) == m
+        return kernels.interior_mask(m, self.closure_table, self.absolute.mask) == m
 
     def relative_complement(self, g: SoftSet) -> SoftSet:
         return SoftSet(self.signature, self.absolute.mask ^ self._inside(g).mask)
@@ -163,16 +179,16 @@ class SoftTopology:
 
     def is_closed(self, g: SoftSet) -> bool:
         m = self._inside(g).mask
-        return kernels.closure_mask(m, self.basis, self.absolute.mask) == m
+        return kernels.closure_mask(m, self.closure_table, self.absolute.mask) == m
 
     # -- interior / closure --------------------------------------------------
 
     def interior(self, g: SoftSet) -> SoftSet:
-        m = kernels.interior_mask(self._inside(g).mask, self.basis)
+        m = kernels.interior_mask(self._inside(g).mask, self.closure_table, self.absolute.mask)
         return SoftSet(self.signature, m)
 
     def closure(self, g: SoftSet) -> SoftSet:
-        m = kernels.closure_mask(self._inside(g).mask, self.basis, self.absolute.mask)
+        m = kernels.closure_mask(self._inside(g).mask, self.closure_table, self.absolute.mask)
         return SoftSet(self.signature, m)
 
     def lattice(self) -> Iterator[SoftSet]:
@@ -241,7 +257,7 @@ def from_subbasis(sig: SpaceSignature, seeds: Iterable[SoftSet],
             raise SignatureMismatch("seed set bound to a different signature")
         masks.append(s.mask)
     family = {0}
-    for nb in _minimal_basis(masks, sig.full_mask):
+    for nb in sorted(set(_neighbourhoods(masks, sig.full_mask))):
         family |= {f | nb for f in family}
         if len(family) > limit:
             raise BitCapExceeded(
@@ -260,13 +276,18 @@ def subspace(t: SoftTopology, carrier: SoftSet) -> SoftTopology:
 
 
 def is_basis(t: SoftTopology, basis: Iterable[SoftSet]) -> bool:
-    """True when every open, so every N(x), is a union of basis members (null = empty union)."""
-    bmasks = []
+    """True when every open is a union of candidates (null = empty union).
+
+    That holds exactly when each cell x of the absolute lies in a candidate
+    b inside N(x). An open b holding x contains N(x), so that b is N(x)
+    itself: the candidates must include every member of `t.basis`.
+    """
+    bmasks = set()
     for b in basis:
         if not t.is_open(b):
             raise LiteralError("basis candidate contains a non-open set")
-        bmasks.append(b.mask)
-    return all(kernels.interior_mask(nb, bmasks) == nb for nb in t.basis)
+        bmasks.add(b.mask)
+    return bmasks.issuperset(t.basis)
 
 
 # -- space files -------------------------------------------------------------

@@ -102,6 +102,27 @@ def test_cross_signature_ops_rejected(f1):
         union(SIG32, [f1, other])
 
 
+def test_equal_but_distinct_signatures_are_the_same_signature(f1, example_space):
+    twin = parse_signature(SIG32.to_obj())
+    assert twin is not SIG32 and twin == SIG32
+    g = SoftSet(twin, f1.mask)
+    assert (f1 | g, f1 & g, f1 <= g, g <= f1) == (f1, f1, True, True)
+    assert union(SIG32, [f1, g]) == f1
+    assert example_space.interior(g) == f1
+    assert example_space.is_open(g)
+
+
+def test_different_signatures_of_one_shape_are_rejected(f1, example_space):
+    # same 3x2 shape and masks, other labels
+    other = parse_signature({"universe": ["a", "b", "c"], "parameters": ["e1", "e2"]})
+    g = SoftSet(other, f1.mask)
+    for op in (lambda: f1 | g, lambda: f1 & g, lambda: f1 <= g,
+               lambda: union(SIG32, [f1, g]), lambda: example_space.interior(g),
+               lambda: example_space.is_open(g)):
+        with pytest.raises(SignatureMismatch):
+            op()
+
+
 def test_soft_points(f1):
     pts = list(f1.points())
     assert len(pts) == 3

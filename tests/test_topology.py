@@ -174,10 +174,22 @@ def test_subspace_composition(example_space):
     assert {o.mask for o in once.opens} == {o.mask for o in direct.opens}
 
 
-def test_is_basis(example_space, f1, indiscrete21):
+def test_is_basis(example_space, f1, indiscrete21, discrete21):
     assert is_basis(example_space, example_space.opens)
     assert is_basis(indiscrete21, [make_absolute(SIG21)])
     assert not is_basis(example_space, [f1])
+    # opens whose union is the absolute but that miss some N(x) = {x}: a
+    # singleton is the union of no other opens
+    pair = SoftSet(SIG21, 0b11)
+    assert not is_basis(discrete21, [pair])
+    assert not is_basis(discrete21, [pair, SoftSet(SIG21, 0b01)])
+    assert is_basis(discrete21, [pair, SoftSet(SIG21, 0b01), SoftSet(SIG21, 0b10)])
+    for t in small_subspaces():
+        assert is_basis(t, [SoftSet(t.signature, m) for m in t.basis]), t.encoding()
+        assert is_basis(t, t.opens), t.encoding()
+        for nb in t.basis:
+            rest = [SoftSet(t.signature, m) for m in t.open_masks if m != nb]
+            assert not is_basis(t, rest), t.encoding()
 
 
 def _union_closure(masks):
