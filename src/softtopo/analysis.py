@@ -7,7 +7,8 @@ layer to cross-check the shortcut route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .core import SoftSet
@@ -27,6 +28,37 @@ AXIOM_NAMES = (
     "semiconnected",
     "semicompact",
 )
+
+
+# --- where claims stop being exhaustive ---
+
+
+class Domain(NamedTuple):
+    limit: int  # largest domain scanned in full
+    draws: int  # what the fallback takes past the limit: draws, or the first members
+
+
+# Every switch between scanning a quantifier's whole domain and a seeded
+# fallback reads its row here through _domain; the comment names the size.
+DOMAINS = {
+    "pairs": Domain(6, 512),  # lattice bits: set pairs and nested pairs
+    "side-lattice": Domain(8, 256),  # lattice bits of one side of a triple
+    "point-lattice": Domain(8, 64),  # lattice bits: INV.CORE.POINT
+    "gap": Domain(10, 256),  # cells between a set and its closure or interior: T2.7, T2.8
+    "carrier-gap": Domain(4, 8),  # cells between a carrier and its closure: T5.4
+    "fip-subfamilies": Domain(9, 24),  # semiclosed members: T4.4, D4.2, T4.7
+    "seminormal-pairs": Domain(4096, 512),  # semiclosed x semiopen pairs
+    "separation-pairs": Domain(1 << 16, 0),  # oracle semiopen pairs of D5.2, else skipped
+    "disjoint-scss-pairs": Domain(8, 8),  # disjoint semiclosed target pairs of T6.16.open
+    "naive-axiom": Domain(5, 0),  # carrier cells of the quadratic axiom scan, else None
+}
+
+
+def _domain(row: str, size: int, exhaustive: Iterable, fallback: Callable[[int], Iterable]) -> Iterable:
+    """`exhaustive` when `size` is within the row's limit, else
+    `fallback(draws)`; the fallback is called only on that branch."""
+    limit, draws = DOMAINS[row]
+    return exhaustive if size <= limit else fallback(draws)
 
 
 @dataclass(frozen=True)
@@ -219,34 +251,17 @@ def check_axiom(t: SoftTopology, axiom: str, all_witnesses: bool = False) -> Axi
     def done() -> AxiomCheck:
         return AxiomCheck(axiom, holds=not wit, witnesses=tuple(wit))
 
-    if axiom == "semi_T0":
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                p, q = pts[a].bit, pts[b].bit
-                if not (p & ssint_t[full & ~q] or q & ssint_t[full & ~p]):
-                    wit.append({"point": pts[a].label(), "point2": pts[b].label()})
-                    if not all_witnesses:
-                        return done()
-        return done()
-
-    if axiom == "semi_T1":
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                p, q = pts[a].bit, pts[b].bit
-                if not (p & ssint_t[full & ~q] and q & ssint_t[full & ~p]):
-                    wit.append({"point": pts[a].label(), "point2": pts[b].label()})
-                    if not all_witnesses:
-                        return done()
-        return done()
-
-    if axiom == "semi_T2":
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                p, q = pts[a].bit, pts[b].bit
-                if not any(p & s and q & ssint_t[full & ~s] for s in tab.soss_masks):
-                    wit.append({"point": pts[a].label(), "point2": pts[b].label()})
-                    if not all_witnesses:
-                        return done()
+    separates = {  # the point pair test of each point axiom
+        "semi_T0": lambda p, q: p & ssint_t[full & ~q] or q & ssint_t[full & ~p],
+        "semi_T1": lambda p, q: p & ssint_t[full & ~q] and q & ssint_t[full & ~p],
+        "semi_T2": lambda p, q: any(p & s and q & ssint_t[full & ~s] for s in tab.soss_masks),
+    }.get(axiom)
+    if separates is not None:
+        for x, y in combinations(pts, 2):
+            if not separates(x.bit, y.bit):
+                wit.append({"point": x.label(), "point2": y.label()})
+                if not all_witnesses:
+                    return done()
         return done()
 
     if axiom == "semiregular":
@@ -262,16 +277,13 @@ def check_axiom(t: SoftTopology, axiom: str, all_witnesses: bool = False) -> Axi
         return done()
 
     if axiom == "seminormal":
-        scss = tab.scss_masks
-        for a in range(len(scss)):
-            for b in range(a + 1, len(scss)):
-                f, k = scss[a], scss[b]
-                if f & k:
-                    continue
-                if not any(f & ~s == 0 and k & ~ssint_t[full & ~s] == 0 for s in tab.soss_masks):
-                    wit.append({"set": _set_lit(t, f), "set2": _set_lit(t, k)})
-                    if not all_witnesses:
-                        return done()
+        for f, k in combinations(tab.scss_masks, 2):
+            if f & k:
+                continue
+            if not any(f & ~s == 0 and k & ~ssint_t[full & ~s] == 0 for s in tab.soss_masks):
+                wit.append({"set": _set_lit(t, f), "set2": _set_lit(t, k)})
+                if not all_witnesses:
+                    return done()
         return done()
 
     if axiom == "semiconnected":
@@ -314,15 +326,14 @@ def seminormal_characterization(t: SoftTopology) -> tuple[bool, Optional[dict], 
     soss = tab.soss_masks
     scss = tab.scss_masks
     sscl_t = tab.sscl
+    exhaustive = True
 
-    pairs: list[tuple[int, int]]
-    exhaustive = len(scss) * len(soss) <= 4096
-    if exhaustive:
-        pairs = [(f, g) for f in scss for g in soss if f & ~g == 0]
-    else:
+    def sample(draws: int) -> list[tuple[int, int]]:
+        nonlocal exhaustive
+        exhaustive = False
         rng = SplitMix64(derive_seed("seminormal-char", t.encoding()))
         pairs = []
-        for _ in range(512):
+        for _ in range(draws):
             f = scss[rng.below(len(scss))]
             g = soss[rng.below(len(soss))]
             if f & ~g == 0:
@@ -333,8 +344,10 @@ def seminormal_characterization(t: SoftTopology) -> tuple[bool, Optional[dict], 
             fm = SoftSet.from_rows(t.signature, w["set"]).mask
             km = SoftSet.from_rows(t.signature, w["set2"]).mask
             pairs.append((fm, full & ~km))
+        return pairs
 
-    for f, g in pairs:
+    nested = ((f, g) for f in scss for g in soss if f & ~g == 0)
+    for f, g in _domain("seminormal-pairs", len(scss) * len(soss), nested, sample):
         if not any(f & ~h == 0 and sscl_t[h] & ~g == 0 for h in soss):
             return False, {"set": _set_lit(t, f), "set2": _set_lit(t, g)}, exhaustive
     return True, None, exhaustive
@@ -342,60 +355,53 @@ def seminormal_characterization(t: SoftTopology) -> tuple[bool, Optional[dict], 
 
 # --- slow definitional scans, used to cross-check the shortcut route ---
 
-NAIVE_CELL_CAP = 5
-
 
 def naive_check_axiom(t: SoftTopology, axiom: str) -> Optional[bool]:
-    """Direct quantifier scan over explicit semiopen pairs.  Returns None
-    when the carrier is too large for the quadratic search."""
+    """Direct quantifier scan over explicit pairs of the oracle's semiopen
+    sets, sharing no table with check_axiom.  Covers the five separation
+    axioms and their two compositions; returns None when the carrier is too
+    large for the quadratic search."""
     if axiom not in AXIOM_NAMES:
         raise LiteralError(f"unknown axiom: {axiom!r}")
+    if axiom in ("semiconnected", "semicompact"):
+        raise LiteralError(f"no direct scan for {axiom!r}: D5.2 scans for semiseparations, "
+                           "and every finite space is semicompact")
+    scan = (_naive_holds(t, axiom) for _ in range(1))  # one lazy verdict
+    return next(_domain("naive-axiom", t.absolute.mask.bit_count(), scan, lambda _: iter(())), None)
+
+
+def _naive_holds(t: SoftTopology, axiom: str) -> bool:
+    if axiom in _COMPOSED:
+        return _naive_holds(t, _COMPOSED[axiom]) and _naive_holds(t, "semi_T1")
     tab = tables(t)
-    full = t.absolute.mask
-    if bin(full).count("1") > NAIVE_CELL_CAP:
-        return None
-    soss = tab.soss_masks
+    soss = tab.oracle_soss_masks
+    scss = tab.oracle_scss_masks
     pts = [p.bit for p in t.absolute.points()]
 
     if axiom == "semi_T0":
         return all(
             any((p & s and not q & s) or (q & s and not p & s) for s in soss)
-            for i, p in enumerate(pts)
-            for q in pts[i + 1 :]
+            for p, q in combinations(pts, 2)
         )
     if axiom == "semi_T1":
         return all(
             any(p & s and not q & s for s in soss) and any(q & s and not p & s for s in soss)
-            for i, p in enumerate(pts)
-            for q in pts[i + 1 :]
+            for p, q in combinations(pts, 2)
         )
     if axiom == "semi_T2":
         return all(
             any(p & s1 and q & s2 and not s1 & s2 for s1 in soss for s2 in soss)
-            for i, p in enumerate(pts)
-            for q in pts[i + 1 :]
+            for p, q in combinations(pts, 2)
         )
     if axiom == "semiregular":
         return all(
             any(p & s1 and f & ~s2 == 0 and not s1 & s2 for s1 in soss for s2 in soss)
             for p in pts
-            for f in tab.scss_masks
+            for f in scss
             if not f & p
         )
-    if axiom == "semi_T3":
-        return naive_check_axiom(t, "semiregular") and naive_check_axiom(t, "semi_T1")
-    if axiom == "seminormal":
-        scss = tab.scss_masks
-        return all(
-            any(f & ~s1 == 0 and k & ~s2 == 0 and not s1 & s2 for s1 in soss for s2 in soss)
-            for i, f in enumerate(scss)
-            for k in scss[i + 1 :]
-            if not f & k
-        )
-    if axiom == "semi_T4":
-        return naive_check_axiom(t, "seminormal") and naive_check_axiom(t, "semi_T1")
-    if axiom == "semiconnected":
-        return not any(
-            s1 and s2 and not s1 & s2 and s1 | s2 == full for s1 in soss for s2 in soss
-        )
-    return True  # semicompact: finite
+    return all(  # seminormal
+        any(f & ~s1 == 0 and k & ~s2 == 0 and not s1 & s2 for s1 in soss for s2 in soss)
+        for f, k in combinations(scss, 2)
+        if not f & k
+    )

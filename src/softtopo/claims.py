@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import core, kernels
 from .analysis import (
     AXIOM_NAMES,
+    DOMAINS,
+    _domain,
     analyze_cover,
     check_axiom,
     find_clopen,
@@ -82,6 +85,11 @@ BUILTIN_SPACES = (
 # --- evaluation contexts -------------------------------------------------------
 
 
+def _draws(rng: SplitMix64, mask: int, k: int) -> list[int]:
+    """k seeded subsets of `mask`."""
+    return [rng.below(mask + 1) & mask for _ in range(k)]
+
+
 class SpaceCtx:
     """One space under evaluation, with shared caches and seeded sampling."""
 
@@ -125,8 +133,7 @@ class SpaceCtx:
         return SplitMix64(derive_seed(self.seed, *tags))
 
     def sample_masks(self, tag: str, k: int) -> list[int]:
-        rng = self.rng(tag)
-        return [rng.below(self.full + 1) & self.full for _ in range(k)]
+        return _draws(self.rng(tag), self.full, k)
 
     @cached_property
     def carriers(self) -> list[SoftSet]:
@@ -409,11 +416,8 @@ def _r2_6(ctx: SpaceCtx) -> Iterator[Check]:
 def _t2_7(ctx: SpaceCtx) -> Iterator[Check]:
     for g in ctx.tab.soss_masks:
         free = ctx.closure(g) & ~g
-        if free.bit_count() <= 10:
-            mids = core.submasks(free)
-        else:
-            rng = ctx.rng("T2.7", g)
-            mids = (rng.below(free + 1) & free for _ in range(256))
+        mids = _domain("gap", free.bit_count(), core.submasks(free),
+                       lambda k: _draws(ctx.rng("T2.7", g), free, k))
         for extra in mids:
             k = g | extra
             ok = k in ctx.tab.soss_set
@@ -429,11 +433,8 @@ def _t2_8(ctx: SpaceCtx) -> Iterator[Check]:
     for f in ctx.tab.scss_masks:
         base = ctx.interior(f)
         free = f & ~base
-        if free.bit_count() <= 10:
-            mids = core.submasks(free)
-        else:
-            rng = ctx.rng("T2.8", f)
-            mids = (rng.below(free + 1) & free for _ in range(256))
+        mids = _domain("gap", free.bit_count(), core.submasks(free),
+                       lambda k: _draws(ctx.rng("T2.8", f), free, k))
         for extra in mids:
             k = base | extra
             ok = k in ctx.tab.scss_set
@@ -488,30 +489,36 @@ def _d2_10(ctx: SpaceCtx) -> Iterator[Check]:
         yield ok, None if ok else {"set": ctx.lit(s)}
 
 
-def _pairs(ctx: SpaceCtx, tag: str) -> Iterator[tuple[int, int]]:
-    bits = ctx.full.bit_count()
-    if bits <= 6:
+def _pairs(ctx: SpaceCtx, tag: str) -> Iterable[tuple[int, int]]:
+    """Every unordered pair of lattice sets, else seeded draws."""
+    def every() -> Iterator[tuple[int, int]]:
         lat = list(ctx.lat())
         for i, a in enumerate(lat):
             for b in lat[i:]:
                 yield a, b
-    else:
+
+    def sample(draws: int) -> Iterator[tuple[int, int]]:
         rng = ctx.rng(tag)
-        for _ in range(512):
+        for _ in range(draws):
             yield rng.below(ctx.full + 1) & ctx.full, rng.below(ctx.full + 1) & ctx.full
 
+    return _domain("pairs", ctx.full.bit_count(), every(), sample)
 
-def _sub_pairs(ctx: SpaceCtx, tag: str) -> Iterator[tuple[int, int]]:
-    bits = ctx.full.bit_count()
-    if bits <= 6:
+
+def _sub_pairs(ctx: SpaceCtx, tag: str) -> Iterable[tuple[int, int]]:
+    """Every nested pair (g inside k) of lattice sets, else seeded draws."""
+    def every() -> Iterator[tuple[int, int]]:
         for k in ctx.lat():
             for g in core.submasks(k):
                 yield g, k
-    else:
+
+    def sample(draws: int) -> Iterator[tuple[int, int]]:
         rng = ctx.rng(tag)
-        for _ in range(512):
+        for _ in range(draws):
             k = rng.below(ctx.full + 1) & ctx.full
             yield rng.below(k + 1) & k, k
+
+    return _domain("pairs", ctx.full.bit_count(), every(), sample)
 
 
 @_claim(
@@ -778,12 +785,10 @@ def _r3_2_b_conv(ctx: TripleCtx) -> Iterator[Check]:
     yield ok, None if ok else {"set": w.to_literal() if w else None}
 
 
-def _side_lattice(ctx: TripleCtx, side: SpaceCtx, tag: str) -> Iterator[int]:
-    """Every set of one side's lattice up to 8 bits, else 256 draws from the triple's rng."""
-    if side.full.bit_count() <= 8:
-        return core.submasks(side.full)
-    rng = ctx.rng(tag)
-    return iter([rng.below(side.full + 1) & side.full for _ in range(256)])
+def _side_lattice(ctx: TripleCtx, side: SpaceCtx, tag: str) -> Iterable[int]:
+    """Every set of one side's lattice, else draws from the triple's rng."""
+    return _domain("side-lattice", side.full.bit_count(), core.submasks(side.full),
+                   lambda k: _draws(ctx.rng(tag), side.full, k))
 
 
 @_claim(
@@ -1016,16 +1021,16 @@ def _semicompact_disagreement(t: SoftTopology) -> Optional[dict]:
     full = t.absolute.mask
     scss = tab.scss_masks
     n = len(scss)
-    fams: Iterable[tuple[int, ...]]
-    if n <= 9:
-        fams = _all_subfamilies(scss)
-    else:
+
+    def sample(draws: int) -> list[tuple[int, ...]]:
         rng = SplitMix64(derive_seed("semicompact", t.encoding()))
         fams = []
-        for _ in range(24):
+        for _ in range(draws):
             size = 1 + rng.below(8)
             fams.append(tuple(scss[i] for i in sorted(rng.sample_distinct(min(size, n), n))))
-    for fam in fams:
+        return fams
+
+    for fam in _domain("fip-subfamilies", n, _all_subfamilies(scss), sample):
         total = full
         for m in fam:
             total &= m
@@ -1056,11 +1061,8 @@ def _semicompact_disagreement(t: SoftTopology) -> Optional[dict]:
 )
 def _t4_4(ctx: SpaceCtx) -> Iterator[Check]:
     scss = ctx.tab.scss_masks
-    fams: Iterator
-    if len(scss) <= 9:
-        fams = _all_subfamilies(scss)
-    else:
-        fams = _sample_families(ctx, "T4.4", scss, 24)
+    fams = _domain("fip-subfamilies", len(scss), _all_subfamilies(scss),
+                   lambda k: _sample_families(ctx, "T4.4", scss, k))
     for fam in fams:
         if not _fip_literal(fam, ctx.full):
             continue
@@ -1159,12 +1161,12 @@ def _d5_2(ctx: SpaceCtx) -> Iterator[Check]:
         yield ok, None if ok else {"set": f.to_literal(), "set2": g.to_literal()}
         return
     soss = ctx.tab.oracle_soss_masks
-    if len(soss) ** 2 > 1 << 16:
-        return
-    exists = any(
-        a and b and not a & b and (a | b) == ctx.full for a in soss for b in soss
+    scan = (  # one lazy verdict
+        any(a and b and not a & b and (a | b) == ctx.full for a in soss for b in soss)
+        for _ in range(1)
     )
-    yield not exists, {"detail": "finder missed a separation"} if exists else None
+    for exists in _domain("separation-pairs", len(soss) ** 2, scan, lambda _: iter(())):
+        yield not exists, {"detail": "finder missed a separation"} if exists else None
 
 
 @_claim(
@@ -1196,11 +1198,8 @@ def _t5_4(ctx: SpaceCtx) -> Iterator[Check]:
         if find_semiseparation(ctx.sub(v).t) is not None:
             continue
         free = ctx.closure(v.mask) & ~v.mask
-        if free.bit_count() > 4:
-            rng = ctx.rng("T5.4", v.mask)
-            mids = [rng.below(free + 1) & free for _ in range(8)]
-        else:
-            mids = list(core.submasks(free))
+        mids = _domain("carrier-gap", free.bit_count(), core.submasks(free),
+                       lambda k: _draws(ctx.rng("T5.4", v.mask), free, k))
         for extra in mids:
             k = SoftSet(ctx.t.signature, v.mask | extra)
             ok = find_semiseparation(ctx.sub(k).t) is None
@@ -1456,16 +1455,11 @@ def _t6_15(ctx: SpaceCtx) -> Iterator[Check]:
     yield ok, None if ok else {"direct": direct, "characterization": char, "pair": wit}
 
 
-def _disjoint_scss_pairs(ctx: SpaceCtx, cap: int) -> Iterator[tuple[int, int]]:
-    scss = ctx.tab.scss_masks
-    n = 0
-    for i in range(len(scss)):
-        for j in range(i + 1, len(scss)):
-            if scss[i] & scss[j] == 0:
-                yield scss[i], scss[j]
-                n += 1
-                if n >= cap:
-                    return
+def _disjoint_scss_pairs(ctx: SpaceCtx) -> list[tuple[int, int]]:
+    """Every disjoint pair of semiclosed sets, else the first ones in family order."""
+    pairs = ((f, g) for f, g in combinations(ctx.tab.scss_masks, 2) if f & g == 0)
+    head = list(islice(pairs, DOMAINS["disjoint-scss-pairs"].limit + 1))
+    return _domain("disjoint-scss-pairs", len(head), head, lambda k: head[:k])
 
 
 @_claim(
@@ -1500,7 +1494,7 @@ def _t6_16_open(ctx: TripleCtx) -> Iterator[Check]:
     ):
         return
     src, tgt = ctx.src, ctx.tgt
-    for l_m, m_m in _disjoint_scss_pairs(tgt, 8):
+    for l_m, m_m in _disjoint_scss_pairs(tgt):
         pl = ctx.f.preimage_mask(l_m)
         pm = ctx.f.preimage_mask(m_m)
         if pl & pm or pl not in src.tab.scss_set or pm not in src.tab.scss_set:
@@ -1630,9 +1624,8 @@ def _inv_order(ctx: SpaceCtx) -> Iterator[Check]:
     "every lattice set when small, sampled otherwise",
 )
 def _inv_point(ctx: SpaceCtx) -> Iterator[Check]:
-    masks = (
-        list(ctx.lat()) if ctx.full.bit_count() <= 8 else ctx.sample_masks("INV.CORE.POINT", 64)
-    )
+    masks = _domain("point-lattice", ctx.full.bit_count(), ctx.lat(),
+                    lambda k: ctx.sample_masks("INV.CORE.POINT", k))
     for s in masks:
         pts = [p for p in ctx.points if p.bit & s]
         u = 0

@@ -295,19 +295,11 @@ def is_disjoint(g: SoftSet, k: SoftSet) -> bool:
     return (g.mask & k.mask) == 0
 
 
-def point_in(p: SoftPoint, g: SoftSet, equality: bool = False) -> bool:
-    """Membership of a soft point.
-
-    Default: the element belongs to the set's value at the point's parameter.
-    equality=True demands the value equal the singleton exactly (the stricter
-    alternative reading; not the default).
-    """
+def point_in(p: SoftPoint, g: SoftSet) -> bool:
+    """Membership of a soft point: its element belongs to the set's value at
+    its parameter."""
     _require_same_signature(p.signature, g.signature)
-    if not equality:
-        return bool(g.mask & p.bit)
-    i = g.signature.param_index(p.parameter)
-    shift = g.signature.row_shift(i)
-    return (g.mask >> shift) & ((1 << g.signature.n) - 1) == (p.bit >> shift)
+    return bool(g.mask & p.bit)
 
 
 def submasks(full: int) -> Iterator[int]:

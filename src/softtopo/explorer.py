@@ -94,17 +94,14 @@ def parse_corpus_spec(obj) -> CorpusSpec:
     extra = set(obj) - known
     if extra:
         raise LiteralError(f"unknown corpus spec fields: {sorted(extra)}")
-    try:
-        return CorpusSpec(
-            mode=obj.get("mode", "random"),
-            universe=int(obj.get("universe", 0)),
-            parameters=int(obj.get("parameters", 0)),
-            count=int(obj.get("count", 0)),
-            seed=int(obj.get("seed", 0)),
-            density=float(obj.get("density", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise LiteralError(f"corpus spec field has the wrong type: {exc}")
+    ints = {name: obj.get(name, 0) for name in ("universe", "parameters", "count", "seed")}
+    density = obj.get("density", 0.0)
+    for name, value in ints.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise LiteralError(f"corpus spec field {name!r} must be an integer, got {value!r}")
+    if isinstance(density, bool) or not isinstance(density, (int, float)):
+        raise LiteralError(f"corpus spec field 'density' must be a number, got {density!r}")
+    return CorpusSpec(mode=obj.get("mode", "random"), density=float(density), **ints)
 
 
 # --- generation ------------------------------------------------------------
@@ -253,6 +250,9 @@ def import_corpus(path: str) -> Corpus:
     for n in names:
         if not isinstance(n, str) or os.path.basename(n) != n or n in ("", ".", ".."):
             raise CorpusError(f"manifest instance {n!r} is not a file name in the corpus")
+    count = manifest.get("count", len(names))
+    if type(count) is not int or count != len(names):
+        raise CorpusError(f"manifest 'count' is {count!r}, but 'instances' has length {len(names)}")
     instances = [load_space(os.path.join(path, n)) for n in names]
     spec = None if manifest.get("spec") is None else parse_corpus_spec(manifest["spec"])
     corpus = Corpus(instances, spec)

@@ -20,6 +20,7 @@ from softtopo import (
     soss,
     subspace,
 )
+from softtopo.analysis import naive_check_axiom
 
 from .conftest import SIG21, SIG32, small_topologies
 
@@ -41,6 +42,17 @@ def test_axiom_names_are_stable():
 def test_unknown_axiom_rejected(example_space):
     with pytest.raises(LiteralError):
         check_axiom(example_space, "T9")
+
+
+def test_direct_axiom_scan_covers_the_separation_axioms(discrete21, indiscrete21, example_space):
+    # semiconnectedness has its own oracle scan in D5.2; semicompactness is immediate
+    for name in ("T9", "semiconnected", "semicompact"):
+        with pytest.raises(LiteralError):
+            naive_check_axiom(discrete21, name)
+    for t in (discrete21, indiscrete21):
+        for name in AXIOM_NAMES[:7]:
+            assert naive_check_axiom(t, name) == check_axiom(t, name).holds, name
+    assert naive_check_axiom(example_space, "semi_T0") is None  # 6 cells
 
 
 def test_discrete_separates_everything(discrete21):

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from softtopo import Corpus, CorpusSpec, build_corpus, discrete, from_subbasis, run_claim_suite
-from softtopo import claims
+from softtopo import analysis, claims, kernels
 from softtopo.claims import (
     ASSERTED_IDS,
     REGISTRY,
@@ -13,7 +16,7 @@ from softtopo.claims import (
     evaluate_claim,
     replay_witness,
 )
-from softtopo.core import SoftSet
+from softtopo.core import SoftSet, submasks
 from softtopo.explorer import auto_signature
 from softtopo.prng import SplitMix64
 from softtopo.semi import tables
@@ -88,8 +91,6 @@ def test_asserted_claims_hold_on_example():
 
 def test_converse_search_finds_both_witnesses():
     ctx = SpaceCtx(example_topology(), "t")
-    import json
-
     hyp, fails = evaluate_claim(REGISTRY["R2.3.conv"], ctx)
     assert hyp > 0
     found = {(f["found"], json.dumps(f["set"], sort_keys=True)) for f in fails}
@@ -157,8 +158,6 @@ def _nested_loop_min_cover(universe, masks):
 
 def test_brute_min_cover_matches_nested_loops(monkeypatch):
     import random
-
-    from softtopo import claims
 
     class NoKernels:
         def __getattr__(self, name):
@@ -255,21 +254,55 @@ def _dense_block_space(n, m, block, seed):
     return from_subbasis(sig, seeds)
 
 
-def test_registry_runs_its_sampled_branches():
-    # 7 cells sample the lattice pairs, 9 the triple-side lattices and 12
-    # the semiconnected carriers of T5.4; the seminormal characterization
-    # samples on all three
+# sha256 of the sorted-key JSON of the sampled corpus's suite to_obj(), taken
+# before the exhaustive-or-sample switches were read from analysis.DOMAINS
+SAMPLED_SUITE_SHA256 = "a9e6a818aed2934087877c9ccdc5ac7f598dafa2edfa78ab275c3a061ea8b911"
+
+
+def test_registry_runs_its_sampled_branches(monkeypatch):
+    # every row of analysis.DOMAINS scans its whole domain on the exhaustive
+    # (3,1) corpus and falls back on this corpus or that one (T6.16.open's
+    # pair cap on (3,1) only); the 12-cell space with one dense cell is the
+    # one whose T2.7/T2.8 gaps pass ten cells
     def corpus():
-        return Corpus([_dense_block_space(n, m, k, 7) for n, m, k in ((7, 1, 1), (3, 3, 2), (4, 3, 3))])
+        return Corpus([_dense_block_space(n, m, k, 7)
+                       for n, m, k in ((7, 1, 1), (3, 3, 2), (4, 3, 3), (4, 3, 1))])
 
     for t in corpus().instances:
         assert len(t.open_masks) < 1 << t.signature.bits
-        tab = tables(t)
-        assert len(tab.soss_masks) * len(tab.scss_masks) > 4096
+    seen = set()
+    real = analysis._domain
+
+    def spy(row, size, exhaustive, fallback):
+        seen.add((row, size <= analysis.DOMAINS[row].limit))
+        return real(row, size, exhaustive, fallback)
+
+    monkeypatch.setattr(analysis, "_domain", spy)
+    monkeypatch.setattr(claims, "_domain", spy)
     one = run_claim_suite(corpus(), jobs=1, cross_triples=2)
+    fell_back = {row for row, within in seen if not within}
+    seen.clear()
+    run_claim_suite(build_corpus(CorpusSpec(mode="exhaustive", universe=3, parameters=1)), jobs=1)
+    assert {row for row, within in seen if within} == set(analysis.DOMAINS)
+    fell_back |= {row for row, within in seen if not within}
+    assert fell_back == set(analysis.DOMAINS)
+
     two = run_claim_suite(corpus(), jobs=2, cross_triples=2)
     assert not one.asserted_failures
     assert one.to_obj() == two.to_obj()
+    dump = json.dumps(one.to_obj(), sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == SAMPLED_SUITE_SHA256
+
+
+def test_d6_1_catches_an_identity_ssint_table(monkeypatch):
+    # the direct scan reads the oracle's semiopen family, so a fast table
+    # that calls every set semiopen fools only one side
+    monkeypatch.setattr(kernels, "ssint_table", lambda table, full: {s: s for s in submasks(full)})
+    ctx = SpaceCtx(claims.builtin_indiscrete(), "mutant")
+    assert ctx.flag("semi_T0")
+    assert evaluate_claim(REGISTRY["D6.1"], ctx) == (
+        1, [{"axiom": "semi_T0", "shortcut": True, "direct": False}]
+    )
 
 
 def test_t2_7_and_t2_8_sample_gaps_above_ten_cells():

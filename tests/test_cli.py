@@ -268,6 +268,32 @@ def test_suite_refuses_a_manifest_outside_its_corpus(tmp_path, capsys, field, va
     assert err == f"error: corpus: {message}\n"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("universe", 2.7, "literal: corpus spec field 'universe' must be an integer, got 2.7"),
+    ("parameters", 4.9, "literal: corpus spec field 'parameters' must be an integer, got 4.9"),
+    ("count", True, "literal: corpus spec field 'count' must be an integer, got True"),
+    ("seed", "3", "literal: corpus spec field 'seed' must be an integer, got '3'"),
+    ("density", "0.3", "literal: corpus spec field 'density' must be a number, got '0.3'"),
+    ("manifest-count", 2, "corpus: manifest 'count' is 2, but 'instances' has length 1"),
+    ("manifest-count", True, "corpus: manifest 'count' is True, but 'instances' has length 1"),
+    ("manifest-count", "1", "corpus: manifest 'count' is '1', but 'instances' has length 1"),
+], ids=["universe-float", "parameters-float", "count-bool", "seed-str", "density-str",
+        "manifest-count-2", "manifest-count-bool", "manifest-count-str"])
+def test_suite_refuses_a_manifest_with_wrong_numbers(tmp_path, capsys, field, value, message):
+    out_dir = tmp_path / "c"
+    run(capsys, ["gen", "--universe", "1", "--params", "1", "--exhaustive", "-o", str(out_dir)])
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    if field == "manifest-count":
+        manifest["count"] = value
+    else:
+        manifest["spec"][field] = value
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    code, out, err = run(capsys, ["suite", str(out_dir), "--no-banner"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_suite_reports_identical_across_jobs(tmp_path, capsys):
     out_dir = str(tmp_path / "c")
     run(capsys, ["gen", "--universe", "2", "--params", "1", "--exhaustive", "-o", out_dir])
