@@ -14,7 +14,7 @@ from . import kernels
 from .core import SoftSet
 from .errors import InternalAssertionError, LiteralError, SignatureMismatch
 from .prng import SplitMix64, derive_seed
-from .semi import tables
+from .semi import semiopen_witness, tables
 from .topology import SoftTopology
 
 AXIOM_NAMES = (
@@ -144,19 +144,12 @@ def analyze_cover(t: SoftTopology, carrier: SoftSet, family: Sequence[SoftSet]) 
     _check_signature(t, carrier)
     for g in family:
         _check_signature(t, g)
-    tab = tables(t)
     masks = [g.mask & t.absolute.mask for g in family]
-    union = 0
-    for m in masks:
-        union |= m
-    target = carrier.mask & t.absolute.mask
-    is_cover = (target & ~union) == 0
-    is_semiopen = all(m in tab.soss_set for m in masks)
-    sub = kernels.min_cover(target, masks) if is_cover else None
+    sub = kernels.min_cover(carrier.mask & t.absolute.mask, masks)
     viol = _fip_violation(masks, t.absolute.mask)
     return CoverReport(
-        is_cover=is_cover,
-        is_semiopen_cover=is_semiopen,
+        is_cover=sub is not None,
+        is_semiopen_cover=all(semiopen_witness(t, m) is not None for m in masks),
         minimal_subcover=sub,
         fip_holds=viol is None,
         fip_violation=viol,

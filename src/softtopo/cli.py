@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 from typing import Optional
 
@@ -247,9 +246,6 @@ def _cmd_suite(args, out: list[str]) -> int:
     )
     witness_root = args.witness_dir or (args.target if is_corpus_dir else None)
     if witness_root is not None:
-        stale = os.path.join(witness_root, "witnesses")
-        if os.path.isdir(stale):
-            shutil.rmtree(stale)
         export_witnesses(result, witness_root)
     if args.format == "json":
         out.append(json.dumps(result.to_obj(), indent=1))

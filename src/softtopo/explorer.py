@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -542,10 +543,30 @@ def format_suite(result: SuiteResult) -> str:
 
 
 def export_witnesses(result: SuiteResult, root: str) -> int:
-    """Write refuted-claim bundles under <root>/witnesses/<claim_id>/<n>/."""
+    """Write refuted-claim bundles under <root>/witnesses/<claim_id>/<n>/.
+
+    An earlier run's bundles there are deleted first: directories
+    <claim id>/<n>/ of claim.json, payload.json, and space.json or
+    function.json. Anything else there raises CorpusError before any
+    deletion or write.
+    """
     base = os.path.join(root, "witnesses")
+    for path, dirs, files in os.walk(base):
+        dirs.sort()
+        depth = path[len(base):].count(os.sep)
+        if depth == 0:
+            ok = not files and all(d in REGISTRY for d in dirs)
+        elif depth == 1:
+            ok = not files and all(d.isdecimal() and str(int(d)) == d for d in dirs)
+        else:
+            ok = not dirs and sorted(files) in (["claim.json", "function.json", "payload.json"],
+                                                ["claim.json", "payload.json", "space.json"])
+        if not ok or any(os.path.islink(os.path.join(path, n)) for n in dirs + files):
+            raise CorpusError(f"{path} holds something other than witness bundles; nothing was deleted")
     written = 0
     try:
+        if os.path.isdir(base):
+            shutil.rmtree(base)
         for r in result.records:
             for n, bundle in enumerate(r.witnesses):
                 d = os.path.join(base, r.claim_id, str(n))

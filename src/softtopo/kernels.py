@@ -4,8 +4,10 @@ Every function here treats soft sets as int masks inside a fixed lattice;
 `full` is the mask of the space's absolute set (the whole lattice for a
 plain space, the carrier for a subspace). Only fast paths live here. The
 per-set route is `interior_mask` and `closure_mask`, which softtopo.semi
-composes into the semi operators. The definitional witness-search oracles
-stay in softtopo.semi so that the two routes share no code.
+composes into its semiopen and semiclosed tests and the semi operators.
+The definitional witness-search oracles stay in softtopo.semi so that the
+two routes share no code. `min_cover` is an exact minimum subcover by
+iterative deepening, sized for the small families of cover reports.
 
 The per-set kernels read a closure table, built once per space by
 `closure_table` from the minimal open neighbourhood N(x) of each cell x.
@@ -136,73 +138,35 @@ def check_family(masks: list[int], full: int) -> tuple[str, int, int] | None:
 def min_cover(universe: int, masks: list[int]) -> tuple[int, ...] | None:
     """Exact minimum-cardinality subcover of `universe`, as sorted indices.
 
-    Branch and bound: greedy upper bound, ceil(remaining/best-single-set)
-    lower bound, branching on the uncovered cell with fewest covering sets.
-    Ties break by larger fresh coverage, then smaller mask, then smaller
-    index, so results are deterministic. Returns None when the family does
-    not cover `universe`, and () when `universe` is empty.
+    Iterative deepening: for k = 0, 1, 2, ... a depth-first search looks
+    for k members that cover `universe`. Each step covers the lowest
+    uncovered cell, trying the members that hold it in index order, so the
+    first k that succeeds is the minimum size and the cover returned is the
+    first one that search meets. Returns None when the family does not
+    cover `universe`, and () when `universe` is empty.
     """
-    if universe == 0:
-        return ()
     total = 0
     for mk in masks:
         total |= mk
     if universe & ~total:
         return None
+    chosen: list[int] = []
 
-    order = sorted(range(len(masks)), key=lambda i: (masks[i], i))
-
-    # greedy pass for the initial upper bound
-    greedy: list[int] = []
-    uncovered = universe
-    while uncovered:
-        best_i = -1
-        best_gain = 0
-        for i in order:
-            gain = (masks[i] & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        greedy.append(best_i)
-        uncovered &= ~masks[best_i]
-
-    best = sorted(greedy)
-    best_len = len(best)
-
-    def branch(uncovered: int, chosen: list[int]) -> None:
-        nonlocal best, best_len
+    def search(uncovered: int, depth: int) -> bool:
         if uncovered == 0:
-            if len(chosen) < best_len:
-                best_len = len(chosen)
-                best = sorted(chosen)
-            return
-        if len(chosen) + 1 >= best_len:
-            return
-        max_gain = 0
-        for i in order:
-            gain = (masks[i] & uncovered).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-        need = -(-uncovered.bit_count() // max_gain)  # ceil division
-        if len(chosen) + need >= best_len:
-            return
-        # branch on the rarest uncovered cell
-        cell = 0
-        cell_count = len(masks) + 1
-        probe = uncovered
-        while probe:
-            b = probe & -probe
-            cnt = sum(1 for mk in masks if mk & b)
-            if cnt < cell_count:
-                cell_count = cnt
-                cell = b
-            probe ^= b
-        cands = [i for i in order if masks[i] & cell]
-        cands.sort(key=lambda i: (-(masks[i] & uncovered).bit_count(), masks[i], i))
-        for i in cands:
-            chosen.append(i)
-            branch(uncovered & ~masks[i], chosen)
-            chosen.pop()
+            return True
+        if depth == 0:
+            return False
+        low = uncovered & -uncovered
+        for i, mk in enumerate(masks):
+            if mk & low:
+                chosen.append(i)
+                if search(uncovered & ~mk, depth - 1):
+                    return True
+                chosen.pop()
+        return False
 
-    branch(universe, [])
-    return tuple(best)
+    depth = 0
+    while not search(universe, depth):
+        depth += 1
+    return tuple(sorted(chosen))

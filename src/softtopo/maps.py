@@ -18,7 +18,7 @@ from typing import Mapping
 from . import kernels
 from .core import SoftSet, SpaceSignature
 from .errors import LiteralError, SignatureMismatch
-from .semi import tables
+from .semi import semiclosed_witness, semiopen_witness, tables
 from .topology import SoftTopology, load_space, parse_space
 
 
@@ -145,16 +145,15 @@ def classify_map(f: SoftFunction, t_src: SoftTopology, t_tgt: SoftTopology) -> M
     semiopen_map    image of every source open is semiopen
     semiclosed_map  image of every source closed set is semiclosed
 
-    The continuous, semicontinuous and semiopen_map tests hold on a union
-    of opens when they hold on its parts, and every open is the union of
-    the N(x) inside it. So the least failing open is an N(x), and those
-    flags scan the ascending minimal basis instead of the opens. Every
-    counterwitness is the first failing member of its family in ascending
-    order.
+    Each candidate costs one per-set test, and no flag walks the lattice.
+    A union of opens, or of semiopen sets, passes when its parts do, and
+    every open is the union of the N(x) inside it, every semiopen set that
+    of the generators N(y) ∪ {p} inside it (`SemiTables.generators`). So
+    the least failing open is an N(x), the least failing semiopen set a
+    generator, and every counterwitness is the first failing member of its
+    family in ascending order.
     """
     _check_spaces(f, t_src, t_tgt)
-    src_tab = tables(t_src)
-    tgt_tab = tables(t_tgt)
     wit: dict[str, SoftSet] = {}
 
     continuous = True
@@ -165,22 +164,22 @@ def classify_map(f: SoftFunction, t_src: SoftTopology, t_tgt: SoftTopology) -> M
         if continuous and kernels.interior_mask(pre, src_table, src_full) != pre:
             continuous = False
             wit["continuous"] = SoftSet(f.target, o)
-        if semicontinuous and pre not in src_tab.soss_set:
+        if semicontinuous and semiopen_witness(t_src, pre) is None:
             semicontinuous = False
             wit["semicontinuous"] = SoftSet(f.target, o)
         if not continuous and not semicontinuous:
             break
 
     irresolute = True
-    for m in tgt_tab.soss_masks:
-        if f.preimage_mask(m) not in src_tab.soss_set:
+    for m in tables(t_tgt).generators:
+        if semiopen_witness(t_src, f.preimage_mask(m)) is None:
             irresolute = False
             wit["irresolute"] = SoftSet(f.target, m)
             break
 
     semiopen_map = True
     for o in t_src.basis:
-        if f.image_mask(o) not in tgt_tab.soss_set:
+        if semiopen_witness(t_tgt, f.image_mask(o)) is None:
             semiopen_map = False
             wit["semiopen_map"] = SoftSet(f.source, o)
             break
@@ -188,8 +187,8 @@ def classify_map(f: SoftFunction, t_src: SoftTopology, t_tgt: SoftTopology) -> M
     semiclosed_map = True
     # closed masks ascend as the opens they complement descend
     for o in reversed(t_src.open_masks):
-        c = t_src.absolute.mask ^ o
-        if f.image_mask(c) not in tgt_tab.scss_set:
+        c = src_full ^ o
+        if semiclosed_witness(t_tgt, f.image_mask(c)) is None:
             semiclosed_map = False
             wit["semiclosed_map"] = SoftSet(f.source, c)
             break

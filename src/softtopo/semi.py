@@ -7,8 +7,8 @@ and that closed set. Two routes are implemented for every question:
 fast path    closed-form formulas on interior/closure, each a few lookups
              in the space's closure table, which is built from the
              minimal open neighbourhoods N(x):
-             semiopen  <=>  G inside closure(interior(G))
-             semiclosed <=> interior(closure(G)) inside G
+             semiopen  <=>  G inside closure(interior(G))    `semiopen_witness`
+             semiclosed <=> interior(closure(G)) inside G    `semiclosed_witness`
              ssint(G) = G ∩ closure(interior(G)) — largest semiopen inside G
              sscl(G)  = G ∪ interior(closure(G)) — smallest semiclosed over G
 
@@ -84,11 +84,12 @@ def _semiclosed_witness_mask(mask: int, open_masks: list[int], full: int) -> int
 
 
 class SemiTables:
-    """Lazy per-space tables for both routes; cache via tables().
+    """Lazy per-space families for both routes; cache via tables().
 
-    Every table walks the lattice under the absolute with `core.submasks`,
-    so building one raises BitCapExceeded above the bit cap. The oracle
-    shares only that walk with the fast route and makes no kernel call.
+    `generators` is read off the space's N(x). Every other family walks
+    the lattice under the absolute with `core.submasks`, so building one
+    raises BitCapExceeded above the bit cap. The oracle shares only that
+    walk with the fast route and makes no kernel call.
     """
 
     def __init__(self, t: SoftTopology):
@@ -96,6 +97,15 @@ class SemiTables:
         self.full = t.absolute.mask
 
     # fast route
+
+    @cached_property
+    def generators(self) -> list[int]:
+        """The distinct sets N(y) ∪ {p} for y in N(p), ascending: each is
+        semiopen, and a semiopen set S holds one per cell p, since int S meets
+        N(p) in some y. So every semiopen set is a union of generators."""
+        cells = [x for x in range(self.full.bit_length()) if self.full >> x & 1]
+        nbhd = dict(zip(cells, self.t.neighbourhoods))
+        return sorted({nbhd[y] | 1 << p for p in cells for y in cells if nbhd[p] >> y & 1})
 
     @cached_property
     def soss_masks(self) -> list[int]:
@@ -158,24 +168,32 @@ def tables(t: SoftTopology) -> SemiTables:
 # -- public operations ---------------------------------------------------------
 
 
-def is_semiopen(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
-    """Fast path; the witness (when true) is the set's interior."""
-    t._inside(g)
+def semiopen_witness(t: SoftTopology, m: int) -> int | None:
+    """The fast route's semiopen test on a mask under the absolute: int(m)
+    when m ⊆ cl(int m), else None."""
     table, full = t.closure_table, t.absolute.mask
-    i = kernels.interior_mask(g.mask, table, full)
-    if g.mask & ~kernels.closure_mask(i, table, full):
-        return False, None
-    return True, SoftSet(t.signature, i)
+    i = kernels.interior_mask(m, table, full)
+    return None if m & ~kernels.closure_mask(i, table, full) else i
+
+
+def semiclosed_witness(t: SoftTopology, m: int) -> int | None:
+    """The fast route's semiclosed test on a mask under the absolute: cl(m)
+    when int(cl m) ⊆ m, else None."""
+    table, full = t.closure_table, t.absolute.mask
+    c = kernels.closure_mask(m, table, full)
+    return None if kernels.interior_mask(c, table, full) & ~m else c
+
+
+def is_semiopen(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
+    """`semiopen_witness`: the witness (when true) is the set's interior."""
+    i = semiopen_witness(t, t._inside(g).mask)
+    return (False, None) if i is None else (True, SoftSet(t.signature, i))
 
 
 def is_semiclosed(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:
-    """Fast path; the witness (when true) is the set's closure."""
-    t._inside(g)
-    table, full = t.closure_table, t.absolute.mask
-    c = kernels.closure_mask(g.mask, table, full)
-    if kernels.interior_mask(c, table, full) & ~g.mask:
-        return False, None
-    return True, SoftSet(t.signature, c)
+    """`semiclosed_witness`: the witness (when true) is the set's closure."""
+    c = semiclosed_witness(t, t._inside(g).mask)
+    return (False, None) if c is None else (True, SoftSet(t.signature, c))
 
 
 def is_semiopen_definitional(t: SoftTopology, g: SoftSet) -> tuple[bool, SoftSet | None]:

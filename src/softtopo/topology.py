@@ -98,8 +98,8 @@ class SoftTopology:
         self.signature = signature
         self.absolute = make_absolute(signature) if absolute is None else absolute
         self.open_masks = tuple(sorted(set(masks)))
-        # memos that live and die with this object: the opens view, basis,
-        # closure table, encoding, semi tables
+        # memos that live and die with this object: the opens view, N(x),
+        # basis, closure table, encoding, semi tables
         self._cache: dict = {}
 
     @property
@@ -112,28 +112,31 @@ class SoftTopology:
         return opens
 
     @property
+    def neighbourhoods(self) -> tuple[int, ...]:
+        """N(x) for each cell x of the absolute, in ascending cell order; one
+        pass over the opens on first use."""
+        nbhds = self._cache.get("neighbourhoods")
+        if nbhds is None:
+            nbhds = tuple(_neighbourhoods(self.open_masks, self.absolute.mask))
+            self._cache["neighbourhoods"] = nbhds
+        return nbhds
+
+    @property
     def basis(self) -> tuple[int, ...]:
         """The distinct minimal open neighbourhoods N(x), ascending; built on first use."""
         basis = self._cache.get("basis")
         if basis is None:
-            basis = self._neighbourhood_fold()[0]
+            basis = self._cache["basis"] = tuple(sorted(set(self.neighbourhoods)))
         return basis
 
     @property
     def closure_table(self) -> kernels.ClosureTable:
-        """The kernels' closure table of this space; built on first use."""
+        """The kernels' closure table of this space; built from N(x) on first use."""
         table = self._cache.get("closure_table")
         if table is None:
-            table = self._neighbourhood_fold()[1]
+            table = kernels.closure_table(self.neighbourhoods, self.absolute.mask)
+            self._cache["closure_table"] = table
         return table
-
-    def _neighbourhood_fold(self) -> tuple[tuple[int, ...], kernels.ClosureTable]:
-        """One pass over the opens for N(x); caches `basis` and `closure_table`."""
-        full = self.absolute.mask
-        nbhds = _neighbourhoods(self.open_masks, full)
-        basis = self._cache["basis"] = tuple(sorted(set(nbhds)))
-        table = self._cache["closure_table"] = kernels.closure_table(nbhds, full)
-        return basis, table
 
     # -- identity ----------------------------------------------------------
 

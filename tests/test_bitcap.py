@@ -1,5 +1,6 @@
 """SOFTTOPO_BITCAP: every lattice walk refuses a carrier above the cap, the
-suite refuses such a space up front, and the per-set route ignores it."""
+suite refuses such a space up front, and the per-set route (set queries,
+map flags, cover reports) ignores it."""
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from softtopo import (
     BitCapExceeded,
     SoftSet,
+    analyze_cover,
     discrete,
     enumerate_soft_sets,
     from_subbasis,
@@ -67,7 +69,6 @@ def test_a_bad_cap_is_invalid_input(monkeypatch, capsys, raw, message):
 
 @pytest.mark.parametrize("argv, message", [
     (["axioms", "{d}/s9.json"], WALK_REFUSED),
-    (["map-check", "@{d}/fn.json"], WALK_REFUSED),
     (["suite", "{d}/s9.json"], "corpus[0] has 9 cells, above the 8-bit cap"),
     (["suite", "{d}/s9.json", "--claims", "INV.CORE.LATTICE"],
      "corpus[0] has 9 cells, above the 8-bit cap"),
@@ -88,6 +89,32 @@ def test_classify_never_walks(cap8, capsys):
     code, out, err = run(capsys, ["classify", f"{cap8}/s9.json", "--set", '{"e1": ["h1", "h2"]}'])
     assert (code, err) == (0, "")
     assert {"open=true", "semiopen=true"} <= set(out.splitlines())
+
+
+SWAP = {"point_map": {"h1": "h3", "h2": "h2", "h3": "h1"},
+        "param_map": {"e1": "e2", "e2": "e1", "e3": "e3"}}
+
+
+@pytest.mark.parametrize("maps, failing", [(None, 0), (SWAP, 5)])
+def test_map_check_never_walks(cap8, monkeypatch, capsys, maps, failing):
+    fn = json.loads((cap8 / "fn.json").read_text())
+    fn.update(maps or {})
+    (cap8 / "fn2.json").write_text(json.dumps(fn))
+    argv = ["map-check", f"@{cap8}/fn2.json"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.count("=false\n") == out.count("counterwitness") == failing
+    monkeypatch.setenv("SOFTTOPO_BITCAP", "9")
+    assert run(capsys, argv) == (0, out, "")
+
+
+def test_cover_reports_never_walk(monkeypatch):
+    monkeypatch.setenv("SOFTTOPO_BITCAP", "8")
+    t = nine_cell_space()
+    family = [SoftSet(SIG9, m) for m in t.basis] + [SoftSet(SIG9, 0b1)]
+    rep = analyze_cover(t, t.absolute, family)
+    assert rep.is_cover and not rep.is_semiopen_cover
+    assert rep.minimal_subcover is not None
 
 
 def test_lattice_walks_refuse_above_the_cap(monkeypatch):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from softtopo import Corpus, CorpusSpec, build_corpus, discrete, from_subbasis, run_claim_suite
-from softtopo import analysis, claims, kernels
+from softtopo import analysis, claims, kernels, semi
 from softtopo.claims import (
     ASSERTED_IDS,
     REGISTRY,
@@ -163,7 +163,7 @@ def test_brute_min_cover_matches_nested_loops(monkeypatch):
         def __getattr__(self, name):
             raise AssertionError(f"the subcover oracle called kernels.{name}")
 
-    # the oracle must stay independent of the branch-and-bound it checks
+    # the oracle must stay independent of the search it checks
     assert "kernels" not in claims._brute_min_cover.__code__.co_names
     monkeypatch.setattr(claims, "kernels", NoKernels())
     rng = random.Random(20120320)
@@ -303,6 +303,16 @@ def test_d6_1_catches_an_identity_ssint_table(monkeypatch):
     assert evaluate_claim(REGISTRY["D6.1"], ctx) == (
         1, [{"axiom": "semi_T0", "shortcut": True, "direct": False}]
     )
+
+
+def test_d4_1_catches_a_semiopen_test_that_always_holds(monkeypatch):
+    # analyze_cover asks the per-set test and D4.1 recomputes the flag from
+    # the lattice table, so the two sides of its semiopen-flag check differ
+    for module in (semi, analysis):
+        monkeypatch.setattr(module, "semiopen_witness", lambda t, m: 0)
+    ctx = SpaceCtx(claims.builtin_example(), "mutant")
+    hypotheses, failures = evaluate_claim(REGISTRY["D4.1"], ctx)
+    assert hypotheses > 0 and failures
 
 
 def test_t2_7_and_t2_8_sample_gaps_above_ten_cells():

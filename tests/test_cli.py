@@ -483,3 +483,37 @@ def test_suite_witnesses_into_a_regular_file_is_a_corpus_error(tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: corpus: cannot write witnesses under {taken}: ")
     assert err.count("\n") == 1
+
+
+def _tree(root):
+    """Every file under root, relative path -> bytes."""
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+@pytest.mark.parametrize("stray", [
+    "README", "mine/notes.txt", "{claim}/notes.txt", "{claim}/00/claim.json", "{bundle}/notes.txt",
+])
+def test_suite_clears_only_the_witness_bundles_it_wrote(tmp_path, capsys, stray):
+    argv = ["suite", "builtin:example", "--witness-dir", str(tmp_path), "--no-banner"]
+    code, first, _ = run(capsys, argv)
+    written = _tree(tmp_path)
+    # a second run replaces its own bundles with the same bytes
+    assert run(capsys, argv) == (code, first, "")
+    assert _tree(tmp_path) == written
+    bundle = os.path.dirname(min(p for p in written if p.endswith("claim.json")))
+    claim = os.path.dirname(bundle)
+    path = tmp_path / "witnesses" / stray.format(claim=os.path.relpath(claim, "witnesses"),
+                                                 bundle=os.path.relpath(bundle, "witnesses"))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("keep me\n")
+    before = _tree(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: corpus: ") and err.count("\n") == 1
+    assert _tree(tmp_path) == before

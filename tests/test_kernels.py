@@ -1,5 +1,7 @@
 import types
 
+import pytest
+
 from softtopo import (
     SoftSet,
     SoftTopology,
@@ -11,6 +13,7 @@ from softtopo import (
     sscl,
     subspace,
 )
+from softtopo.claims import _brute_min_cover
 from softtopo.core import submasks
 from softtopo.explorer import auto_signature
 from softtopo.prng import SplitMix64
@@ -95,3 +98,38 @@ def test_table_route_matches_the_oracle_at_the_chunk_edges():
         masks = [0, full, full & 0xFF, full & ~0xFF] + cells + pairs + [
             full & rng.below(full + 1) for _ in range(draws)]
         _agree(t, masks)
+
+
+@pytest.mark.parametrize("universe, masks, cover", [
+    # each family has several minimum covers; the search covers the lowest
+    # uncovered cell with the first member that holds it, in index order
+    (0b100, [0b001, 0b101, 0b110, 0b011, 0b100], (1,)),
+    (0b1101110, [0b1000010, 0b0011011, 0b1000000, 0b0110101], (0, 1, 3)),
+    (0b11000, [0b11010011, 0b10101100, 0b10001100, 0b01110000], (0, 1)),
+    (0b1011, [0b11110, 0b00110, 0b11001], (0, 2)),
+])
+def test_min_cover_returns_the_first_minimum_cover_of_its_search(universe, masks, cover):
+    assert kernels.min_cover(universe, masks) == cover
+
+
+def test_min_cover_is_exact_on_larger_families():
+    # 11 to 20 members: past the ten that the registry's subcover claim draws
+    rng = SplitMix64(2020)
+    for k in range(11, 21):
+        full = (1 << (6 + k % 5)) - 1
+        masks = [rng.below(full + 1) & rng.below(full + 1) for _ in range(k)]
+        want = _brute_min_cover(full, masks)
+        got = kernels.min_cover(full, masks)
+        if want is None:
+            assert got is None
+            continue
+        assert len(got) == want and len(set(got)) == want
+        union = 0
+        for i in got:
+            union |= masks[i]
+        assert union == full
+
+
+def test_min_cover_of_nothing_and_of_an_uncoverable_universe():
+    assert kernels.min_cover(0, []) == kernels.min_cover(0, [0b11]) == ()
+    assert kernels.min_cover(0b101, [0b001, 0b010]) is None

@@ -22,8 +22,10 @@ from softtopo import (
     soss_definitional,
 )
 from softtopo.explorer import auto_signature
+from softtopo.prng import SplitMix64
+from softtopo.semi import tables
 
-from .conftest import SIG21, SIG32
+from .conftest import SIG21, SIG32, small_topologies
 
 SIG31 = parse_signature({"universe": ["h1", "h2", "h3"], "parameters": ["e1"]})
 
@@ -179,6 +181,26 @@ def test_counterwitness_is_the_first_failing_member_of_its_family():
                     assert getattr(c, flag) == (want[flag] is None), (flag, pm, qm)
                 seen += 1
     assert seen == 217
+
+
+def test_irresolute_witness_is_the_first_failing_semiopen_set():
+    # the flag scans the target's generators N(y) ∪ {p}; the reference scans
+    # the whole lattice-walked semiopen family, ascending
+    spaces = small_topologies()[1:]
+    rng = SplitMix64(1963)
+    failing = 0
+    for t_src, t_tgt in itertools.product(spaces, spaces):
+        src, tgt = t_src.signature, t_tgt.signature
+        f = SoftFunction(src, tgt, tuple(rng.below(tgt.n) for _ in range(src.n)),
+                         tuple(rng.below(tgt.m) for _ in range(src.m)))
+        soss_src = tables(t_src).soss_set
+        want = _first_failing(tables(t_tgt).soss_masks,
+                              lambda s: f.preimage_mask(s) not in soss_src)
+        c = classify_map(f, t_src, t_tgt)
+        got = c.counterwitnesses.get("irresolute")
+        assert (c.irresolute, None if got is None else got.mask) == (want is None, want)
+        failing += want is not None
+    assert len(spaces) == 67 and 0 < failing < 67 * 67
 
 
 def test_surjectivity_flags():

@@ -21,6 +21,7 @@ from softtopo import (
     ssint_definitional,
     union,
 )
+from softtopo.semi import tables
 
 from .conftest import SIG21, SIG32, small_subspaces
 
@@ -194,6 +195,16 @@ def test_scss_intersection_closure(example_space):
     for a in family:
         for b in family:
             assert (a & b).mask in members
+
+
+def test_semiopen_sets_are_the_unions_of_the_generators():
+    # on every space of up to 3 bits and each of its subspaces
+    for t in small_subspaces():
+        tab = tables(t)
+        unions = {0}
+        for g in tab.generators:
+            unions |= {u | g for u in unions}
+        assert sorted(unions) == tab.soss_masks, t.encoding()
 
 
 def test_semiopen_sandwich(example_space):
