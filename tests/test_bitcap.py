@@ -67,11 +67,16 @@ def test_a_bad_cap_is_invalid_input(monkeypatch, capsys, raw, message):
     )
 
 
+SUITE_REFUSED = "corpus[0] has 9 cells, above the 8-bit cap"
+
+
+# The ids keep each case's old number: argv1 was map-check, which no longer
+# walks (see test_map_check_never_walks).
 @pytest.mark.parametrize("argv, message", [
-    (["axioms", "{d}/s9.json"], WALK_REFUSED),
-    (["suite", "{d}/s9.json"], "corpus[0] has 9 cells, above the 8-bit cap"),
-    (["suite", "{d}/s9.json", "--claims", "INV.CORE.LATTICE"],
-     "corpus[0] has 9 cells, above the 8-bit cap"),
+    pytest.param(["axioms", "{d}/s9.json"], WALK_REFUSED, id=f"argv0-{WALK_REFUSED}"),
+    pytest.param(["suite", "{d}/s9.json"], SUITE_REFUSED, id=f"argv2-{SUITE_REFUSED}"),
+    pytest.param(["suite", "{d}/s9.json", "--claims", "INV.CORE.LATTICE"],
+                 SUITE_REFUSED, id=f"argv3-{SUITE_REFUSED}"),
 ])
 def test_commands_that_walk_refuse_a_space_above_the_cap(cap8, capsys, argv, message):
     argv = [a.format(d=cap8) for a in argv]
